@@ -14,7 +14,7 @@
 //                       [--progress-every <n>] [--plant-quarantine <index>]
 //                       [--distributed] [--max-worker-restarts <n>]
 //                       [--kill-worker-after <n>]
-//                       [--fleet <N>] [--scheduler wheel|heap]
+//                       [--fleet <N>]
 //
 // With --fleet N the lab switches to the city-scale trial: N flyweight
 // sessions (a struct-of-arrays table, ~26 bytes/session, zero allocations
@@ -24,9 +24,8 @@
 // loss / rebuffer statistics and the order-sensitive delivery digest. An
 // audit::Auditor rides along (monotone event dispatch + fleet-wide packet
 // conservation); any violation fails the run. --verify-determinism runs
-// the fleet twice and exits nonzero when the digests differ. --scheduler
-// selects the event-loop backend (default: the timing wheel; `heap` is the
-// reference binary-heap queue) for every mode, fleet or not.
+// the fleet twice and exits nonzero when the digests differ. Every mode runs
+// on the event loop's one queue, the timing wheel.
 //
 // With --distributed the campaign trials run on separate worker *processes*
 // (this binary re-exec'd with the hidden --worker flag) under the
@@ -521,10 +520,8 @@ int run_fleet_mode(std::size_t sessions, std::uint64_t seed,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
           .count();
 
-  const char* backend =
-      config.scheduler == EventLoop::Scheduler::kWheel ? "wheel" : "heap";
-  std::printf("fleet: %llu sessions, scheduler=%s, seed=%llu\n",
-              static_cast<unsigned long long>(r.sessions), backend,
+  std::printf("fleet: %llu sessions, seed=%llu\n",
+              static_cast<unsigned long long>(r.sessions),
               static_cast<unsigned long long>(seed));
   std::printf("  sim time      %.2f s   wall %.3f s\n", r.sim_seconds,
               wall_seconds);
@@ -601,16 +598,6 @@ int main(int argc, char** argv) {
       fleet_sessions = static_cast<std::size_t>(std::atoll(flag_value("--fleet")));
       if (fleet_sessions == 0) {
         std::fprintf(stderr, "--fleet needs a positive session count\n");
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--scheduler") == 0) {
-      const char* which = flag_value("--scheduler");
-      if (std::strcmp(which, "wheel") == 0) {
-        EventLoop::set_default_scheduler(EventLoop::Scheduler::kWheel);
-      } else if (std::strcmp(which, "heap") == 0) {
-        EventLoop::set_default_scheduler(EventLoop::Scheduler::kHeap);
-      } else {
-        std::fprintf(stderr, "--scheduler must be wheel or heap\n");
         return 1;
       }
     } else if (std::strcmp(argv[i], "--manifest") == 0) {

@@ -48,7 +48,7 @@ struct FleetTable {
 class FleetRun {
  public:
   explicit FleetRun(const FleetConfig& config)
-      : config_(config), loop_(config.scheduler), table_(config.sessions) {
+      : config_(config), table_(config.sessions) {
     if (config_.auditor != nullptr) loop_.set_auditor(config_.auditor);
     payload_ = config_.wm.media_per_datagram(config_.media_rate);
     interval_ = config_.wm.send_interval(config_.media_rate, payload_);
@@ -134,8 +134,8 @@ class FleetRun {
     }
     table_.last_delivery_ns[i] = now.ns();
     ++table_.delivered[i];
-    // Order-sensitive digest: any reordering or divergence across runs (or
-    // scheduler backends) changes it.
+    // Order-sensitive digest: any reordering or divergence across runs
+    // changes it.
     std::uint64_t entry =
         mix(static_cast<std::uint64_t>(now.ns()) ^
             (static_cast<std::uint64_t>(i) << 20) ^ seq);

@@ -6,20 +6,16 @@
 // behaviour — link serialization, propagation, player send timers, client
 // playout — is expressed as events on one loop.
 //
-// Two interchangeable scheduling backends share that contract:
-//  * kWheel (default): a hierarchical timing wheel (sim/timing_wheel.hpp)
-//    with O(1) insert and cursor-jump bucket drains — the city-scale backend.
-//  * kHeap: the original single `std::priority_queue` — kept as the
-//    reference implementation for differential tests and microbenches.
-// Both fire the exact same order; campaign manifests and digests are
-// byte-identical across backends (tests/sim/test_scheduler_differential.cpp).
+// The queue is a hierarchical timing wheel (sim/timing_wheel.hpp) with O(1)
+// insert and cursor-jump bucket drains, and it is the loop's only backend.
+// The tests keep a plain (when, seq) binary heap as its reference
+// (tests/sim/reference_queue.hpp); tests/sim/test_scheduler_differential.cpp
+// checks that the wheel pops exactly the order that reference pops.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <utility>
-#include <vector>
 
 #include "obs/obs.hpp"
 #include "sim/audit.hpp"
@@ -108,21 +104,10 @@ class EventHandle {
 
 class EventLoop {
  public:
-  enum class Scheduler : std::uint8_t { kWheel, kHeap };
-
-  explicit EventLoop(Scheduler scheduler = default_scheduler());
+  EventLoop();
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
-
-  /// Process-wide default backend for newly constructed loops (kWheel unless
-  /// overridden). Differential tests and `turbulence_lab --scheduler` flip it
-  /// to run identical scenarios through both queues; stored atomically so a
-  /// main-thread override is visible to campaign worker threads.
-  static Scheduler default_scheduler();
-  static void set_default_scheduler(Scheduler scheduler);
-
-  Scheduler scheduler() const { return wheel_ != nullptr ? Scheduler::kWheel : Scheduler::kHeap; }
 
   SimTime now() const { return now_; }
 
@@ -195,27 +180,16 @@ class EventLoop {
     EventFn fn;
     EventCtlRef ctl;  // null for post_at/post_in events (never cancellable)
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
 
   void enqueue(SimTime when, EventFn fn, obs::EventCategory category, EventCtlRef ctl);
-  Event* peek_next();
-  Event take_next();
   bool fire_next(SimTime deadline);
 
   SimTime now_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t live_count_ = 0;
-  // Exactly one backend is active per loop: wheel_ when non-null, else heap_.
-  // The wheel is ~70KB of bucket headers, so it lives behind a pointer and
-  // the (rarely used) heap backend stays an empty vector.
+  // The wheel is ~70KB of bucket headers, so it lives behind a pointer.
   std::unique_ptr<detail::TimingWheel<Event>> wheel_;
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
   obs::Obs* obs_ = nullptr;
   audit::Auditor* auditor_ = nullptr;
 };

@@ -566,6 +566,7 @@ TEST(CampaignTelemetry, QuarantineWritesPostmortemFlightRecord) {
 /// end, with a monotone trial count and a live telemetry pointer.
 TEST(CampaignTelemetry, ProgressHookFiresOnCadenceAndAtCompletion) {
   CampaignConfig config = tiny_campaign(5);
+  config.workers = 1;
   config.progress_every = 2;
   std::vector<std::size_t> done_at_call;
   std::vector<std::uint64_t> folded_at_call;
@@ -683,6 +684,7 @@ TEST(CampaignCrash, InProcessQuarantineRecordsEmptyWorkerEvidence) {
 TEST(CampaignCrash, CancelFlagFlushesCommittedPrefixAndResumes) {
   std::atomic<bool> cancel{false};
   CampaignConfig config = tiny_campaign(6);
+  config.workers = 1;
   config.manifest_path = temp_manifest("cancel_serial");
   config.cancel = &cancel;
   config.progress_every = 1;

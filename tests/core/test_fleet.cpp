@@ -1,8 +1,7 @@
-// Fleet scenario tests: determinism (including across scheduler backends),
-// metric sanity, audit cleanliness — plus the campaign-level differential
-// required by the timing-wheel migration: chaos and repair campaigns must
-// produce byte-identical manifests and equal digests under the heap and
-// wheel schedulers, serially and on 4 workers.
+// Fleet scenario tests: determinism, metric sanity, audit cleanliness — plus
+// the campaign-level determinism check on the event loop: chaos and repair
+// campaigns must produce byte-identical manifests and equal digests serially
+// and on 4 workers.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -51,16 +50,7 @@ TEST(Fleet, DeterministicAcrossRunsAndSchedulers) {
   EXPECT_EQ(a.packets_sent, b.packets_sent);
   EXPECT_EQ(a.packets_delivered, b.packets_delivered);
   EXPECT_EQ(a.rebuffer_events, b.rebuffer_events);
-
-  FleetConfig wheel = small_fleet(300);
-  wheel.scheduler = EventLoop::Scheduler::kWheel;
-  FleetConfig heap = small_fleet(300);
-  heap.scheduler = EventLoop::Scheduler::kHeap;
-  const FleetResult w = run_fleet(wheel);
-  const FleetResult h = run_fleet(heap);
-  EXPECT_EQ(w.digest, h.digest) << "scheduler backends diverged";
-  EXPECT_EQ(w.events_executed, h.events_executed);
-  EXPECT_EQ(w.rebuffer_events, h.rebuffer_events);
+  EXPECT_EQ(a.events_executed, b.events_executed);
 
   const FleetResult other = run_fleet(small_fleet(300, /*seed=*/8));
   EXPECT_NE(other.digest, a.digest) << "digest insensitive to seed";
@@ -79,7 +69,7 @@ TEST(Fleet, AuditCleanAndProbeFolded) {
   EXPECT_EQ(probe.events(), r.packets_delivered);
 }
 
-// --- Campaign differential: heap vs wheel on chaos + repair scenarios ---
+// --- Campaign determinism: serial vs 4 workers on chaos + repair scenarios ---
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -133,17 +123,12 @@ struct CampaignFingerprint {
   std::uint64_t telemetry_hash = 0;
 };
 
-CampaignFingerprint run_fingerprint(CampaignConfig config,
-                                    EventLoop::Scheduler scheduler,
-                                    std::size_t workers,
+CampaignFingerprint run_fingerprint(CampaignConfig config, std::size_t workers,
                                     const std::string& name) {
-  const EventLoop::Scheduler saved = EventLoop::default_scheduler();
-  EventLoop::set_default_scheduler(scheduler);
   config.workers = workers;
   config.verify_determinism = true;
   config.manifest_path = temp_manifest(name);
   const CampaignResult result = run_campaign(config);
-  EventLoop::set_default_scheduler(saved);
   EXPECT_TRUE(result.ok());
   CampaignFingerprint fp;
   fp.manifest = read_file(config.manifest_path);
@@ -153,33 +138,22 @@ CampaignFingerprint run_fingerprint(CampaignConfig config,
   return fp;
 }
 
-void expect_backends_identical(const CampaignConfig& config, const char* tag) {
-  const auto heap1 = run_fingerprint(config, EventLoop::Scheduler::kHeap, 1,
-                                     std::string(tag) + "_heap1");
-  const auto wheel1 = run_fingerprint(config, EventLoop::Scheduler::kWheel, 1,
-                                      std::string(tag) + "_wheel1");
-  const auto wheel4 = run_fingerprint(config, EventLoop::Scheduler::kWheel, 4,
-                                      std::string(tag) + "_wheel4");
-  const auto heap4 = run_fingerprint(config, EventLoop::Scheduler::kHeap, 4,
-                                     std::string(tag) + "_heap4");
-  ASSERT_FALSE(heap1.manifest.empty());
-  EXPECT_EQ(wheel1.digests, heap1.digests) << tag << ": trial digests diverged";
-  EXPECT_EQ(wheel1.manifest, heap1.manifest)
-      << tag << ": serial manifests not byte-identical across backends";
-  EXPECT_EQ(wheel4.manifest, heap1.manifest)
-      << tag << ": 4-worker wheel manifest differs from serial heap";
-  EXPECT_EQ(heap4.manifest, heap1.manifest)
-      << tag << ": 4-worker heap manifest differs from serial heap";
-  EXPECT_EQ(wheel1.telemetry_hash, heap1.telemetry_hash);
-  EXPECT_EQ(wheel4.telemetry_hash, heap1.telemetry_hash);
+void expect_serial_matches_workers(const CampaignConfig& config, const char* tag) {
+  const auto serial = run_fingerprint(config, 1, std::string(tag) + "_serial");
+  const auto workers4 = run_fingerprint(config, 4, std::string(tag) + "_workers4");
+  ASSERT_FALSE(serial.manifest.empty());
+  EXPECT_EQ(workers4.digests, serial.digests) << tag << ": trial digests diverged";
+  EXPECT_EQ(workers4.manifest, serial.manifest)
+      << tag << ": 4-worker manifest differs from serial";
+  EXPECT_EQ(workers4.telemetry_hash, serial.telemetry_hash);
 }
 
 TEST(SchedulerCampaignDifferential, ChaosCampaignByteIdentical) {
-  expect_backends_identical(tiny_chaos_campaign(3), "chaos");
+  expect_serial_matches_workers(tiny_chaos_campaign(3), "chaos");
 }
 
 TEST(SchedulerCampaignDifferential, RepairCampaignByteIdentical) {
-  expect_backends_identical(tiny_repair_campaign(3), "repair");
+  expect_serial_matches_workers(tiny_repair_campaign(3), "repair");
 }
 
 }  // namespace

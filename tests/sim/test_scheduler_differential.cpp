@@ -1,38 +1,32 @@
-// Differential and contract tests for the two scheduling backends.
+// The timing wheel against its reference, plus the event loop's contract.
 //
-// The timing wheel (EventLoop::Scheduler::kWheel) must be observationally
-// identical to the reference heap (kHeap): same fire order, same clocks, same
-// pending/executed accounting — on adversarial schedules with same-instant
-// clusters, cancels, nested scheduling, budget-truncated runs and far-future
-// events. The differential driver below replays one deterministic
-// pseudo-random "schedule program" through both backends and compares the
-// full recordings.
+// detail::TimingWheel must pop exactly what a plain (when, seq) binary heap
+// pops (tests/sim/reference_queue.hpp). The differential harness below feeds
+// both the same deterministic pseudo-random push/pop program — same-instant
+// clusters on bucket boundaries, far-future times up to SimTime::max(),
+// pushes between pops at or after the last popped time (the loop's
+// `when >= now` clamp), and a steady state at fleet depth — and compares the
+// full pop sequences. The loop tests after it pin the contract the wheel
+// serves: cancels, budget-truncated runs, post/schedule ordering.
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "reference_queue.hpp"
 #include "sim/event_loop.hpp"
+#include "sim/timing_wheel.hpp"
 
 namespace streamlab {
 namespace {
 
-using Scheduler = EventLoop::Scheduler;
-
-class BothSchedulers : public ::testing::TestWithParam<Scheduler> {};
-
-INSTANTIATE_TEST_SUITE_P(Backends, BothSchedulers,
-                         ::testing::Values(Scheduler::kWheel, Scheduler::kHeap),
-                         [](const auto& info) {
-                           return info.param == Scheduler::kWheel ? "Wheel" : "Heap";
-                         });
-
-// Deterministic 64-bit LCG so the "random" program is identical across
-// backends, runs and platforms.
+// Deterministic 64-bit LCG so every program is identical across runs and
+// platforms.
 struct Lcg {
   std::uint64_t x;
   std::uint64_t next() {
@@ -42,95 +36,173 @@ struct Lcg {
   std::uint64_t below(std::uint64_t n) { return next() % n; }
 };
 
-struct Recording {
-  // (event id, fire time ns) in execution order, plus accounting checkpoints.
-  std::vector<std::pair<int, std::int64_t>> fired;
-  std::vector<std::pair<std::uint64_t, std::size_t>> checkpoints;  // executed, pending
-
-  bool operator==(const Recording&) const = default;
+struct Entry {
+  SimTime when;
+  std::uint64_t seq;
 };
 
-// One adversarial schedule program: bursts of events over a 50ms horizon with
-// same-instant clusters, nested children, random cancels (including
-// cancel-from-inside-run), handle-free posts, far-future events at coarse
-// wheel levels, and budget-truncated resumed runs.
-Recording run_program(Scheduler kind, std::uint64_t seed) {
-  Recording rec;
-  EventLoop loop(kind);
+using PopLog = std::vector<std::pair<std::int64_t, std::uint64_t>>;  // (when ns, seq)
+
+// Runs one push/pop program through the wheel and the reference in lockstep:
+// each push reaches both with the same seq, each pop takes the head of both
+// (peek, then pop, as the loop does). The caller steers later pushes by the
+// reference's pop times, so a diverging wheel cannot change the program.
+class Lockstep {
+ public:
+  void push(SimTime when) {
+    const Entry e{when, next_seq_++};
+    wheel_.push(e);
+    ref_.push(e);
+  }
+
+  /// Pops both heads and returns the reference's time: the clock a loop
+  /// would advance to. Requires !empty().
+  SimTime pop() {
+    if (wheel_.peek() != nullptr) {
+      const Entry w = wheel_.pop();
+      wheel_log_.emplace_back(w.when.ns(), w.seq);
+    }
+    const Entry r = ref_.pop();
+    ref_log_.emplace_back(r.when.ns(), r.seq);
+    return r.when;
+  }
+
+  bool empty() const { return ref_.empty(); }
+  std::size_t size() const { return ref_.size(); }
+  std::size_t wheel_size() const { return wheel_.size(); }
+  std::size_t popped() const { return ref_log_.size(); }
+
+  /// Empty when the wheel popped exactly the reference's sequence and ended
+  /// empty with it; otherwise the first difference.
+  std::string divergence() {
+    const std::size_t n = std::min(wheel_log_.size(), ref_log_.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      if (wheel_log_[i] != ref_log_[i]) {
+        return "pop " + std::to_string(i) + ": wheel (" +
+               std::to_string(wheel_log_[i].first) + ", " +
+               std::to_string(wheel_log_[i].second) + ") vs reference (" +
+               std::to_string(ref_log_[i].first) + ", " +
+               std::to_string(ref_log_[i].second) + ")";
+      }
+    }
+    if (wheel_log_.size() != ref_log_.size())
+      return "wheel popped " + std::to_string(wheel_log_.size()) +
+             " entries, reference " + std::to_string(ref_log_.size());
+    if (ref_.empty() && (!wheel_.empty() || wheel_.peek() != nullptr))
+      return "wheel still holds entries after the reference drained";
+    return "";
+  }
+
+ private:
+  detail::TimingWheel<Entry> wheel_;
+  sim_test::ReferenceQueue<Entry> ref_;
+  std::uint64_t next_seq_ = 0;
+  PopLog wheel_log_;
+  PopLog ref_log_;
+};
+
+constexpr std::int64_t kTickNs = std::int64_t{1} << detail::TimingWheel<Entry>::kTickBits;
+
+// One adversarial program: 400 entries over 50 ms, same-instant clusters on
+// tick and coarser bucket edges, far-future entries up to SimTime::max(),
+// then pops in random bursts with pushes between them at the last popped
+// time, inside the tick just drained, on the next tick edge, and ahead.
+void adversarial_program(Lockstep& q, std::uint64_t seed) {
   Lcg rng{seed};
-  std::vector<EventHandle> handles;
-  int next_id = 100000;
+  for (int i = 0; i < 400; ++i)
+    q.push(SimTime(static_cast<std::int64_t>(rng.below(50'000'000))));
 
-  const auto record = [&rec, &loop](int id) {
-    rec.fired.emplace_back(id, loop.now().ns());
-  };
+  // Start of level-0 tick 10240, of a level-1 bucket (2^16 ns), of a level-2
+  // bucket (3 * 2^22 ns) and of a level-3 bucket (2^28 ns), each with
+  // neighbours one nanosecond before it and at the end of its tick.
+  for (const std::int64_t edge : {std::int64_t{10'485'760}, std::int64_t{1} << 16,
+                                  std::int64_t{3} << 22, std::int64_t{1} << 28}) {
+    q.push(SimTime(edge - 1));
+    for (int i = 0; i < 50; ++i) q.push(SimTime(edge));
+    q.push(SimTime(edge + kTickNs - 1));
+  }
 
-  // Phase A: 400 events over [0, 50ms); every third keeps a handle.
-  for (int i = 0; i < 400; ++i) {
-    const SimTime when(static_cast<std::int64_t>(rng.below(50'000'000)));
-    const int id = i;
-    auto fn = [&, id] {
-      record(id);
-      if (id % 5 == 0) {
-        const int child = next_id++;
-        loop.post_in(Duration(static_cast<std::int64_t>(rng.below(2'000'000))),
-                     [&, child] { record(child); });
+  // Far future: 1 s .. ~17 min, then the top of the time range.
+  for (int i = 0; i < 20; ++i)
+    q.push(SimTime(static_cast<std::int64_t>(1'000'000'000ULL +
+                                             rng.below(1'000'000'000'000ULL))));
+  q.push(SimTime(std::int64_t{1} << 62));
+  q.push(SimTime(SimTime::max().ns() - 1));
+  q.push(SimTime::max());
+  q.push(SimTime::max());
+
+  // Pops in bursts; pushes only while the clock is far from the top of the
+  // range, so `now + delay` cannot overflow.
+  SimTime now = SimTime::zero();
+  int push_budget = 3000;
+  while (!q.empty()) {
+    const std::uint64_t burst = 1 + rng.below(40);
+    for (std::uint64_t k = 0; k < burst && !q.empty(); ++k) now = q.pop();
+    if (now.ns() >= (std::int64_t{1} << 61)) continue;
+    const std::int64_t tick_end = ((now.ns() / kTickNs) + 1) * kTickNs;
+    for (std::uint64_t j = rng.below(4); j > 0 && push_budget > 0; --j, --push_budget) {
+      switch (rng.below(5)) {
+        case 0:  // the instant just popped
+          q.push(now);
+          break;
+        case 1:  // inside the tick just drained
+          q.push(SimTime(now.ns() + static_cast<std::int64_t>(rng.below(
+                                        static_cast<std::uint64_t>(tick_end - now.ns())))));
+          break;
+        case 2:  // the next tick edge
+          q.push(SimTime(tick_end));
+          break;
+        case 3:  // near future
+          q.push(now + Duration(static_cast<std::int64_t>(rng.below(2'000'000))));
+          break;
+        default:  // far future
+          q.push(now + Duration(static_cast<std::int64_t>(rng.below(1'000'000'000'000ULL))));
+          break;
       }
-      if (id % 7 == 0 && !handles.empty()) {
-        handles[rng.below(handles.size())].cancel();
-      }
-    };
-    if (i % 3 == 0) {
-      handles.push_back(loop.schedule_at(when, std::move(fn)));
-    } else {
-      loop.post_at(when, std::move(fn));
     }
   }
-
-  // Phase B: a same-instant cluster right on a likely bucket boundary.
-  const SimTime cluster(10'485'760);  // 10240 * 1024 ns
-  for (int i = 0; i < 50; ++i) {
-    loop.post_at(cluster, [&, id = 1000 + i] { record(id); });
-  }
-
-  // Phase C: far-future events exercising coarse wheel levels; half are
-  // cancelled before they can fire.
-  for (int i = 0; i < 20; ++i) {
-    const SimTime when = SimTime(static_cast<std::int64_t>(
-        1'000'000'000ULL + rng.below(1'000'000'000'000ULL)));  // 1s .. ~17min
-    EventHandle h = loop.schedule_at(when, [&, id = 2000 + i] { record(id); });
-    if (i % 2 == 0) h.cancel();
-  }
-  loop.schedule_at(SimTime::max(), [&] { record(9999); }).cancel();
-
-  // Phase D: budget-truncated runs with mid-run scheduling near `now`.
-  std::uint64_t guard = 0;
-  while (!loop.empty() && guard++ < 10'000) {
-    loop.run_until(SimTime::from_seconds(3600.0), 37);
-    rec.checkpoints.emplace_back(loop.executed_events(), loop.pending_events());
-    if (guard % 5 == 0) {
-      loop.post_in(Duration(static_cast<std::int64_t>(rng.below(500'000))),
-                   [&, id = next_id++] { record(id); });
-    }
-  }
-  rec.checkpoints.emplace_back(loop.executed_events(), loop.pending_events());
-  return rec;
 }
 
 TEST(SchedulerDifferential, WheelMatchesHeapOnAdversarialPrograms) {
   for (const std::uint64_t seed : {1ULL, 7ULL, 1234567ULL, 0xDEADBEEFULL}) {
-    const Recording wheel = run_program(Scheduler::kWheel, seed);
-    const Recording heap = run_program(Scheduler::kHeap, seed);
-    ASSERT_FALSE(wheel.fired.empty());
-    EXPECT_EQ(wheel, heap) << "divergence at seed " << seed;
+    Lockstep q;
+    adversarial_program(q, seed);
+    ASSERT_GT(q.popped(), 400u);
+    EXPECT_EQ(q.divergence(), "") << "seed " << seed;
   }
 }
 
-// Satellite: a budget-truncated run resumed mid-bucket must keep the
+// Fleet depth: ~10^5 entries stay pending across the wheel's levels while
+// every pop pushes one successor, so the multi-level cascade runs in steady
+// state against the reference.
+TEST(SchedulerDifferential, WheelMatchesHeapAtFleetDepth) {
+  constexpr std::size_t kDepth = 100'000;
+  constexpr int kSteps = 300'000;
+  Lcg rng{0xF1EE7ULL};
+  Lockstep q;
+  for (std::size_t i = 0; i < kDepth; ++i)
+    q.push(SimTime(static_cast<std::int64_t>(rng.below(2'000'000'000))));
+
+  // Delays spread over levels 0..4: under 64 µs, 4 ms, 268 ms, 17 s, 18 min.
+  constexpr std::uint64_t kSpan[] = {std::uint64_t{1} << 16, std::uint64_t{1} << 22,
+                                     std::uint64_t{1} << 28, std::uint64_t{1} << 34,
+                                     std::uint64_t{1} << 40};
+  for (int step = 0; step < kSteps; ++step) {
+    const SimTime now = q.pop();
+    const std::uint64_t span = kSpan[rng.below(std::size(kSpan))];
+    q.push(now + Duration(static_cast<std::int64_t>(rng.below(span))));
+  }
+  EXPECT_EQ(q.size(), kDepth);
+  EXPECT_EQ(q.wheel_size(), kDepth);
+  while (!q.empty()) q.pop();
+  EXPECT_EQ(q.divergence(), "");
+}
+
+// A budget-truncated run resumed mid-bucket must keep the
 // same-instant scheduling order across the resume boundary — including
 // events scheduled for that same instant *during* the pause.
-TEST_P(BothSchedulers, TruncatedRunResumedMidBucketKeepsOrder) {
-  EventLoop loop(GetParam());
+TEST(EventLoopContract, TruncatedRunResumedMidBucketKeepsOrder) {
+  EventLoop loop;
   std::vector<int> order;
   const SimTime t = SimTime::from_seconds(1.0);
   loop.post_at(SimTime::from_seconds(0.5), [&] { order.push_back(-1); });
@@ -151,12 +223,12 @@ TEST_P(BothSchedulers, TruncatedRunResumedMidBucketKeepsOrder) {
   EXPECT_TRUE(loop.empty());
 }
 
-// Satellite: cancel-heavy workload — 90% of scheduled events cancelled.
+// Cancel-heavy workload — 90% of scheduled events cancelled.
 // pending_events()/empty() must stay truthful throughout, the lazily-purged
 // slots must not disturb the survivors' order, and nothing may leak (this
 // suite runs under the ASan job).
-TEST_P(BothSchedulers, CancelHeavyWorkloadStaysTruthful) {
-  EventLoop loop(GetParam());
+TEST(EventLoopContract, CancelHeavyWorkloadStaysTruthful) {
+  EventLoop loop;
   constexpr int kN = 5000;
   std::vector<EventHandle> handles;
   handles.reserve(kN);
@@ -204,8 +276,8 @@ TEST_P(BothSchedulers, CancelHeavyWorkloadStaysTruthful) {
   EXPECT_TRUE(again);
 }
 
-TEST_P(BothSchedulers, PostAndScheduleShareOneTotalOrder) {
-  EventLoop loop(GetParam());
+TEST(EventLoopContract, PostAndScheduleShareOneTotalOrder) {
+  EventLoop loop;
   std::vector<int> order;
   const SimTime t = SimTime::from_seconds(1.0);
   loop.post_at(t, [&] { order.push_back(0); });
@@ -218,8 +290,8 @@ TEST_P(BothSchedulers, PostAndScheduleShareOneTotalOrder) {
   EXPECT_TRUE(loop.empty());
 }
 
-TEST_P(BothSchedulers, FarFutureEventsFireExactly) {
-  EventLoop loop(GetParam());
+TEST(EventLoopContract, FarFutureEventsFireExactly) {
+  EventLoop loop;
   std::vector<std::int64_t> at;
   // Spread across wheel levels: ~66µs, ~4ms, ~270ms, ~17s, ~18min, ~2 days.
   const std::int64_t whens[] = {70'000,         4'300'000,      300'000'000,
@@ -244,10 +316,10 @@ TEST_P(BothSchedulers, FarFutureEventsFireExactly) {
 // A pending SimTime::max() event held by a handle across loop destruction:
 // the destructor must detach the control block so the late cancel is a no-op
 // on freed memory (exercised under ASan).
-TEST_P(BothSchedulers, HandleOutlivesLoopHarmlessly) {
+TEST(EventLoopContract, HandleOutlivesLoopHarmlessly) {
   EventHandle h;
   {
-    EventLoop loop(GetParam());
+    EventLoop loop;
     h = loop.schedule_at(SimTime::max(), [] {});
     EXPECT_TRUE(h.pending());
   }
