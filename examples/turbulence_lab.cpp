@@ -15,6 +15,7 @@
 //                       [--distributed] [--max-worker-restarts <n>]
 //                       [--kill-worker-after <n>]
 //                       [--fleet <N>]
+// An unrecognised --flag prints this usage on stderr and exits with status 2.
 //
 // With --fleet N the lab switches to the city-scale trial: N flyweight
 // sessions (a struct-of-arrays table, ~26 bytes/session, zero allocations
@@ -118,6 +119,19 @@
 using namespace streamlab;
 
 namespace {
+
+void print_usage() {
+  std::fprintf(stderr,
+               "usage: turbulence_lab [set 1-6] [low|high|very-high] [export-dir]\n"
+               "                      [--trace <dir>] [--chaos] [--multipath]\n"
+               "                      [--fec <k>] [--nack]\n"
+               "                      [--campaign <N>] [--workers <N>] [--verify-determinism]\n"
+               "                      [--manifest <path>] [--seed <base>]\n"
+               "                      [--progress-every <n>] [--plant-quarantine <index>]\n"
+               "                      [--distributed] [--max-worker-restarts <n>]\n"
+               "                      [--kill-worker-after <n>]\n"
+               "                      [--fleet <N>]\n");
+}
 
 RateTier parse_tier(const char* text) {
   if (std::strcmp(text, "high") == 0) return RateTier::kHigh;
@@ -636,6 +650,10 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(std::atoll(flag_value("--kill-worker-after")));
     } else if (std::strcmp(argv[i], "--worker") == 0) {
       worker_player = flag_value("--worker");
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      print_usage();
+      return 2;
     } else {
       positional.push_back(argv[i]);
     }

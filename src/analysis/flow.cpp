@@ -8,16 +8,16 @@ FlowTrace FlowTrace::extract(const std::vector<DissectedPacket>& packets, Ipv4Ad
                              std::optional<std::uint16_t> dst_port) {
   FlowTrace out;
   for (const auto& p : packets) {
-    const auto ip_src = p.field("ip.src");
-    const auto proto = p.field("ip.proto");
-    if (!ip_src || ip_src->number != static_cast<std::int64_t>(src.value())) continue;
-    if (!proto || proto->number != 17) continue;
+    const auto ip_src = p.number(FieldId::kIpSrc);
+    const auto proto = p.number(FieldId::kIpProto);
+    if (!ip_src || *ip_src != static_cast<std::int64_t>(src.value())) continue;
+    if (!proto || *proto != 17) continue;
 
-    const auto frag_offset = p.field("ip.frag_offset");
-    const bool trailing = frag_offset && frag_offset->number > 0;
+    const auto frag_offset = p.number(FieldId::kIpFragOffset);
+    const bool trailing = frag_offset && *frag_offset > 0;
     if (!trailing && dst_port) {
-      const auto port = p.field("udp.dstport");
-      if (!port || port->number != *dst_port) continue;
+      const auto port = p.number(FieldId::kUdpDstPort);
+      if (!port || *port != *dst_port) continue;
     }
     // Trailing fragments are accepted on source+protocol alone: their IP id
     // ties them to the preceding first fragment of the same datagram.
@@ -26,7 +26,7 @@ FlowTrace FlowTrace::extract(const std::vector<DissectedPacket>& packets, Ipv4Ad
     fp.wire_length = static_cast<std::uint32_t>(p.frame_length);
     fp.trailing_fragment = trailing;
     fp.first_of_group = !trailing;
-    if (auto id = p.field("ip.id")) fp.ip_id = static_cast<std::uint16_t>(id->number);
+    if (const auto id = p.number(FieldId::kIpId)) fp.ip_id = static_cast<std::uint16_t>(*id);
     out.packets_.push_back(fp);
   }
   return out;

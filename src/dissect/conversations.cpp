@@ -25,30 +25,28 @@ std::string ConversationStats::label() const {
 }
 
 void ConversationTable::add(const DissectedPacket& packet) {
-  const auto src = packet.field("ip.src");
-  const auto dst = packet.field("ip.dst");
-  const auto proto = packet.field("ip.proto");
+  const auto src = packet.number(FieldId::kIpSrc);
+  const auto dst = packet.number(FieldId::kIpDst);
+  const auto proto = packet.number(FieldId::kIpProto);
   if (!src || !dst || !proto) {
     ++unattributed_;
     return;
   }
-  const auto src_addr = static_cast<std::uint32_t>(src->number);
-  const auto dst_addr = static_cast<std::uint32_t>(dst->number);
-  const auto protocol = static_cast<std::uint8_t>(proto->number);
+  const auto src_addr = static_cast<std::uint32_t>(*src);
+  const auto dst_addr = static_cast<std::uint32_t>(*dst);
+  const auto protocol = static_cast<std::uint8_t>(*proto);
 
-  // Ports, when a transport header is present.
-  std::uint16_t src_port = 0, dst_port = 0;
-  bool have_ports = false;
-  const char* prefix = protocol == 6 ? "tcp" : "udp";
-  if (auto sp = packet.field(std::string(prefix) + ".srcport")) {
-    src_port = static_cast<std::uint16_t>(sp->number);
-    dst_port = static_cast<std::uint16_t>(packet.field(std::string(prefix) + ".dstport")
-                                              ->number);
-    have_ports = true;
-  }
+  // Ports, when a transport header is present; a packet missing either one
+  // is treated as port-less.
+  const bool tcp = protocol == 6;
+  const auto sp = packet.number(tcp ? FieldId::kTcpSrcPort : FieldId::kUdpSrcPort);
+  const auto dp = packet.number(tcp ? FieldId::kTcpDstPort : FieldId::kUdpDstPort);
+  const bool have_ports = sp && dp;
+  const auto src_port = static_cast<std::uint16_t>(have_ports ? *sp : 0);
+  const auto dst_port = static_cast<std::uint16_t>(have_ports ? *dp : 0);
 
-  const auto frag = packet.field("ip.frag_offset");
-  const bool trailing = frag && frag->number > 0;
+  const auto frag = packet.number(FieldId::kIpFragOffset);
+  const bool trailing = frag && *frag > 0;
 
   ConversationKey key;
   if (!trailing && have_ports) {

@@ -5,15 +5,6 @@
 namespace streamlab::filter {
 namespace {
 
-/// `udp.port` / `tcp.port` match either direction, like Wireshark.
-/// Returns the list of concrete field names an abstract name expands to.
-std::vector<std::string> expand_field(const std::string& name) {
-  if (name == "udp.port") return {"udp.srcport", "udp.dstport"};
-  if (name == "tcp.port") return {"tcp.srcport", "tcp.dstport"};
-  if (name == "ip.addr") return {"ip.src", "ip.dst"};
-  return {name};
-}
-
 bool apply_compare(CompareOp op, std::int64_t a, std::int64_t b) {
   switch (op) {
     case CompareOp::kEq: return a == b;
@@ -26,54 +17,103 @@ bool apply_compare(CompareOp op, std::int64_t a, std::int64_t b) {
   return false;
 }
 
-/// Resolves an operand against a packet. Field operands may expand to
-/// several candidate values (udp.port); missing fields yield an empty set.
-std::vector<std::int64_t> resolve(const Operand& op, const DissectedPacket& pkt) {
-  if (op.kind == Operand::Kind::kLiteral) return {op.literal};
-  std::vector<std::int64_t> values;
-  for (const auto& name : expand_field(op.field)) {
-    if (auto v = pkt.field(name)) values.push_back(v->number);
-  }
-  return values;
+}  // namespace
+
+DisplayFilter::FieldRef DisplayFilter::resolve(const std::string& name) {
+  // `udp.port` / `tcp.port` / `ip.addr` match either direction, like Wireshark.
+  if (name == "udp.port") return {{FieldId::kUdpSrcPort, FieldId::kUdpDstPort}, 2};
+  if (name == "tcp.port") return {{FieldId::kTcpSrcPort, FieldId::kTcpDstPort}, 2};
+  if (name == "ip.addr") return {{FieldId::kIpSrc, FieldId::kIpDst}, 2};
+  if (const auto id = find_field(name)) return {{*id}, 1};
+  return {};
 }
 
-bool eval(const Expr& e, const DissectedPacket& pkt) {
+std::uint32_t DisplayFilter::lower(const Expr& e) {
+  Node node;
+  node.kind = e.kind;
+  switch (e.kind) {
+    case Expr::Kind::kPresence:
+      node.layer = find_layer(e.field);
+      node.fields = resolve(e.field);
+      break;
+    case Expr::Kind::kCompare: {
+      node.cmp = e.cmp;
+      const auto value = [](const Operand& op) {
+        Value v;
+        v.is_literal = op.kind == Operand::Kind::kLiteral;
+        if (v.is_literal) {
+          v.literal = op.literal;
+        } else {
+          v.fields = resolve(op.field);
+        }
+        return v;
+      };
+      node.lhs = value(e.lhs);
+      node.rhs = value(e.rhs);
+      break;
+    }
+    case Expr::Kind::kLogic:
+      node.logic = e.logic;
+      node.left = lower(*e.left);
+      node.right = lower(*e.right);
+      break;
+    case Expr::Kind::kNot:
+      node.left = lower(*e.left);
+      break;
+  }
+  nodes_.push_back(node);
+  return static_cast<std::uint32_t>(nodes_.size() - 1);
+}
+
+bool DisplayFilter::eval(std::uint32_t index, const DissectedPacket& pkt) const {
+  const Node& e = nodes_[index];
   switch (e.kind) {
     case Expr::Kind::kPresence: {
-      if (pkt.has_layer(e.field)) return true;
-      for (const auto& name : expand_field(e.field))
-        if (pkt.field(name)) return true;
+      if (e.layer && pkt.has_layer(*e.layer)) return true;
+      for (std::uint8_t i = 0; i < e.fields.count; ++i)
+        if (pkt.has(e.fields.ids[i])) return true;
       return false;
     }
     case Expr::Kind::kCompare: {
       // Wireshark semantics: a comparison on a multi-valued field is true
       // when ANY combination satisfies it; false when a field is absent.
-      const auto lhs = resolve(e.lhs, pkt);
-      const auto rhs = resolve(e.rhs, pkt);
-      for (const auto a : lhs)
-        for (const auto b : rhs)
-          if (apply_compare(e.cmp, a, b)) return true;
+      const auto values = [&pkt](const Value& v, std::array<std::int64_t, 2>& out) {
+        if (v.is_literal) {
+          out[0] = v.literal;
+          return std::size_t{1};
+        }
+        std::size_t n = 0;
+        for (std::uint8_t i = 0; i < v.fields.count; ++i)
+          if (const auto x = pkt.number(v.fields.ids[i])) out[n++] = *x;
+        return n;
+      };
+      std::array<std::int64_t, 2> lhs{}, rhs{};
+      const std::size_t nl = values(e.lhs, lhs);
+      const std::size_t nr = values(e.rhs, rhs);
+      for (std::size_t a = 0; a < nl; ++a)
+        for (std::size_t b = 0; b < nr; ++b)
+          if (apply_compare(e.cmp, lhs[a], rhs[b])) return true;
       return false;
     }
     case Expr::Kind::kLogic:
-      if (e.logic == LogicOp::kAnd) return eval(*e.left, pkt) && eval(*e.right, pkt);
-      return eval(*e.left, pkt) || eval(*e.right, pkt);
+      if (e.logic == LogicOp::kAnd) return eval(e.left, pkt) && eval(e.right, pkt);
+      return eval(e.left, pkt) || eval(e.right, pkt);
     case Expr::Kind::kNot:
-      return !eval(*e.left, pkt);
+      return !eval(e.left, pkt);
   }
   return false;
 }
 
-}  // namespace
-
 Expected<DisplayFilter> DisplayFilter::compile(std::string_view expression) {
   auto ast = parse(expression);
   if (!ast) return Unexpected(ast.error());
-  return DisplayFilter(std::string(expression), std::move(*ast));
+  DisplayFilter filter{std::string(expression)};
+  filter.lower(**ast);
+  return filter;
 }
 
 bool DisplayFilter::matches(const DissectedPacket& packet) const {
-  return root_ && eval(*root_, packet);
+  return !nodes_.empty() && eval(static_cast<std::uint32_t>(nodes_.size() - 1), packet);
 }
 
 std::vector<const DissectedPacket*> DisplayFilter::select(

@@ -43,7 +43,7 @@ TEST(Fleet, RunsAndAccounts) {
   EXPECT_LT(r.bytes_per_session, 64.0);
 }
 
-TEST(Fleet, DeterministicAcrossRunsAndSchedulers) {
+TEST(Fleet, DeterministicAcrossRuns) {
   const FleetResult a = run_fleet(small_fleet(300));
   const FleetResult b = run_fleet(small_fleet(300));
   EXPECT_EQ(a.digest, b.digest);

@@ -113,5 +113,33 @@ TEST(Conversations, MalformedPacketsCounted) {
   EXPECT_EQ(table.unattributed_packets(), 1u);
 }
 
+TEST(Conversations, PacketWithoutDstPortIsPortless) {
+  // A hand-built UDP packet with a source port but no destination port: it
+  // must not be keyed on ports (or read the missing one), but attributed
+  // like any port-less packet to the last flow between its addresses.
+  DissectedPacket partial;
+  ASSERT_TRUE(partial.set("ip.src", FieldValue::of(kServerA.ip.value())));
+  ASSERT_TRUE(partial.set("ip.dst", FieldValue::of(kClient.ip.value())));
+  ASSERT_TRUE(partial.set("ip.proto", FieldValue::of(17)));
+  ASSERT_TRUE(partial.set("udp.srcport", FieldValue::of(kServerA.port)));
+  partial.frame_length = 60;
+
+  ConversationTable table;
+  table.add(partial);  // no earlier flow between the pair
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.unattributed_packets(), 1u);
+
+  CaptureTrace trace;
+  add_udp(trace, kServerA, kClient, 100, 1.0);
+  table.add_all(dissect_trace(trace));
+  table.add(partial);
+  ASSERT_EQ(table.size(), 1u);
+  const auto conv = table.by_bytes()[0];
+  EXPECT_EQ(conv.total_packets(), 2u);
+  EXPECT_EQ(conv.total_bytes(), 142u + 60u);
+  EXPECT_EQ(conv.fragments, 0u);
+  EXPECT_EQ(table.unattributed_packets(), 1u);
+}
+
 }  // namespace
 }  // namespace streamlab

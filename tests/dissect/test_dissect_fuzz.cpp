@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dissect/dissector.hpp"
+#include "fuzz_frames.hpp"
 #include "net/packet.hpp"
 #include "util/rng.hpp"
 
@@ -10,19 +11,11 @@ namespace streamlab {
 namespace {
 
 TEST(DissectFuzz, RandomBytesNeverCrash) {
-  Rng rng(424242);
-  for (int i = 0; i < 3000; ++i) {
-    CaptureRecord rec;
-    rec.timestamp = SimTime(rng.uniform_int(0, 1'000'000'000));
-    const auto len = static_cast<std::size_t>(rng.uniform_int(0, 200));
-    rec.data.resize(len);
-    for (auto& b : rec.data) b = static_cast<std::uint8_t>(rng.next_u64());
-    rec.original_length = static_cast<std::uint32_t>(len);
-
+  for (const CaptureRecord& rec : dissect_test::random_byte_frames()) {
     const DissectedPacket pkt = dissect(rec);
     // Frame-level fields always present, whatever the bytes were.
     ASSERT_TRUE(pkt.field("frame.len").has_value());
-    EXPECT_EQ(pkt.field("frame.len")->number, static_cast<std::int64_t>(len));
+    EXPECT_EQ(pkt.field("frame.len")->number, static_cast<std::int64_t>(rec.data.size()));
     (void)pkt.summary();
   }
 }
@@ -30,25 +23,7 @@ TEST(DissectFuzz, RandomBytesNeverCrash) {
 TEST(DissectFuzz, BitFlippedRealFramesNeverCrash) {
   // Start from a valid frame and flip random bits: the dissector must mark
   // corruption (checksum) or parse best-effort, never misbehave.
-  Rng rng(7);
-  const auto pkt = make_udp_packet(Endpoint{Ipv4Address(1, 2, 3, 4), 1000},
-                                   Endpoint{Ipv4Address(5, 6, 7, 8), 2000},
-                                   std::vector<std::uint8_t>(100, 0x55), 42);
-  const Frame frame = frame_ipv4(MacAddress::for_nic(1), MacAddress::for_nic(2), pkt);
-
-  for (int i = 0; i < 2000; ++i) {
-    CaptureRecord rec;
-    rec.timestamp = SimTime::zero();
-    auto bytes = frame.bytes();
-    rec.data.assign(bytes.begin(), bytes.end());
-    rec.original_length = static_cast<std::uint32_t>(rec.data.size());
-    // Flip 1-4 random bits.
-    const int flips = static_cast<int>(rng.uniform_int(1, 4));
-    for (int f = 0; f < flips; ++f) {
-      const auto pos = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(rec.data.size()) - 1));
-      rec.data[pos] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
-    }
+  for (const CaptureRecord& rec : dissect_test::bit_flipped_frames()) {
     const DissectedPacket out = dissect(rec);
     ASSERT_TRUE(out.field("frame.len").has_value());
   }
@@ -68,20 +43,11 @@ TEST(DissectFuzz, ParseFrameRejectsGracefully) {
 }
 
 TEST(DissectFuzz, TruncationSweepOnValidFrame) {
-  const auto pkt = make_udp_packet(Endpoint{Ipv4Address(1, 2, 3, 4), 1000},
-                                   Endpoint{Ipv4Address(5, 6, 7, 8), 2000},
-                                   std::vector<std::uint8_t>(64, 0xAA), 7);
-  const Frame frame = frame_ipv4(MacAddress::for_nic(1), MacAddress::for_nic(2), pkt);
-  const auto bytes = frame.bytes();
   // Every prefix length must be handled.
-  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
-    CaptureRecord rec;
-    rec.timestamp = SimTime::zero();
-    rec.data.assign(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut));
-    rec.original_length = static_cast<std::uint32_t>(bytes.size());
+  for (const CaptureRecord& rec : dissect_test::truncated_frames()) {
     const DissectedPacket out = dissect(rec);
     ASSERT_TRUE(out.field("frame.cap_len").has_value());
-    EXPECT_EQ(out.field("frame.cap_len")->number, static_cast<std::int64_t>(cut));
+    EXPECT_EQ(out.field("frame.cap_len")->number, static_cast<std::int64_t>(rec.data.size()));
   }
 }
 

@@ -133,5 +133,51 @@ TEST(Dissector, DissectTraceBulk) {
     EXPECT_EQ(all[static_cast<std::size_t>(i)].field("ip.id")->number, i);
 }
 
+TEST(Dissector, FieldAndLayerTablesRoundTrip) {
+  for (std::size_t i = 0; i < kFieldCount; ++i) {
+    const auto id = static_cast<FieldId>(i);
+    EXPECT_EQ(find_field(field_name(id)), id) << field_name(id);
+  }
+  const char* const layers[] = {"eth", "ip", "udp", "tcp", "icmp", "_malformed"};
+  static_assert(std::size(layers) == kLayerCount);
+  for (std::size_t i = 0; i < kLayerCount; ++i)
+    EXPECT_EQ(find_layer(layers[i]), static_cast<Layer>(i)) << layers[i];
+  EXPECT_FALSE(find_field("udp.port").has_value());  // a filter shorthand, not a field
+  EXPECT_FALSE(find_field("").has_value());
+  EXPECT_FALSE(find_layer("arp").has_value());
+}
+
+TEST(Dissector, NameBasedSettersRejectNamesOutsideTable) {
+  DissectedPacket pkt;
+  EXPECT_FALSE(pkt.set("no.such.field", FieldValue::of(1)));
+  EXPECT_FALSE(pkt.set("udp.port", FieldValue::of(1755)));
+  EXPECT_FALSE(pkt.add_layer("arp"));
+  EXPECT_FALSE(pkt.field("no.such.field").has_value());
+  EXPECT_FALSE(pkt.has_layer("arp"));
+
+  EXPECT_TRUE(pkt.set("udp.srcport", FieldValue::of(7070)));
+  EXPECT_TRUE(pkt.add_layer("udp"));
+  EXPECT_EQ(pkt.field("udp.srcport")->display, "7070");
+  EXPECT_TRUE(pkt.has_layer("udp"));
+  EXPECT_TRUE(pkt.set("ip.src", FieldValue::of(0x0A000002, "10.0.0.2")));
+  EXPECT_EQ(pkt.field("ip.src")->display, "10.0.0.2");
+
+  // A MAC field takes its address from the display text; its number stays 0.
+  EXPECT_TRUE(pkt.set("eth.src", FieldValue::of(0, "02:00:00:00:00:01")));
+  EXPECT_EQ(pkt.field("eth.src")->display, "02:00:00:00:00:01");
+  EXPECT_EQ(pkt.field("eth.src")->number, 0);
+  EXPECT_FALSE(pkt.set("eth.dst", FieldValue::of(0, "not-a-mac")));
+  EXPECT_FALSE(pkt.field("eth.dst").has_value());
+}
+
+TEST(Dissector, MacFieldsKeepNumberZero) {
+  const auto pkt = make_udp_packet(kServer, kClient, std::vector<std::uint8_t>(10, 1), 1);
+  const auto d = dissect(record_of(pkt));
+  EXPECT_EQ(d.field("eth.src")->number, 0);
+  EXPECT_EQ(d.field("eth.src")->display, MacAddress::for_nic(1).to_string());
+  EXPECT_EQ(d.field("eth.dst")->display, MacAddress::for_nic(2).to_string());
+  EXPECT_EQ(d.number(FieldId::kEthDst), 0);
+}
+
 }  // namespace
 }  // namespace streamlab

@@ -44,6 +44,9 @@ TEST(Evaluator, PresenceTests) {
   EXPECT_FALSE(matches("icmp", pkt));
   EXPECT_TRUE(matches("udp.dstport", pkt));   // field presence
   EXPECT_FALSE(matches("tcp.dstport", pkt));
+  // Neither a field nor a layer: compiles, never matches.
+  EXPECT_FALSE(matches("no.such.field", pkt));
+  EXPECT_FALSE(matches("frame", pkt));
 }
 
 TEST(Evaluator, NumericComparisons) {
@@ -66,6 +69,8 @@ TEST(Evaluator, AddressComparisons) {
   EXPECT_TRUE(matches("ip.addr == 192.168.100.10", pkt));
   EXPECT_TRUE(matches("ip.addr == 10.0.0.2", pkt));
   EXPECT_FALSE(matches("ip.addr == 1.2.3.4", pkt));
+  // MAC fields have no numeric form: they compare as 0.
+  EXPECT_TRUE(matches("eth.src == 0 && eth.dst == 0", pkt));
 }
 
 TEST(Evaluator, PortAliasMatchesEitherDirection) {
@@ -83,6 +88,8 @@ TEST(Evaluator, MissingFieldComparisonIsFalse) {
   EXPECT_FALSE(matches("tcp.seq == 0", pkt));
   EXPECT_FALSE(matches("tcp.seq != 0", pkt));   // absent, not "anything"
   EXPECT_TRUE(matches("!(tcp.seq == 0)", pkt));
+  EXPECT_FALSE(matches("no.such.field == 0", pkt));
+  EXPECT_FALSE(matches("no.such.field != 0", pkt));
 }
 
 TEST(Evaluator, LogicalCombinations) {

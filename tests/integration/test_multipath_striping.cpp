@@ -210,7 +210,7 @@ CampaignConfig multipath_campaign(std::size_t workers, const char* name) {
   return cfg;
 }
 
-TEST(MultipathStriping, ManifestBytesIdenticalSerialVsWorkersAndHeapVsWheel) {
+TEST(MultipathStriping, ManifestBytesIdenticalSerialVsWorkers) {
   CampaignConfig serial_cfg = multipath_campaign(1, "serial");
   const CampaignResult serial = run_campaign(serial_cfg);
   ASSERT_EQ(serial.completed, 4u);
