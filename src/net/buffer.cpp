@@ -104,11 +104,14 @@ thread_local Slab t_slab;
 }  // namespace
 
 Buffer Buffer::copy_of(std::span<const std::uint8_t> bytes) {
-  if (bytes.empty()) return {};
-  Block* b = t_slab.allocate(bytes.size());
-  std::memcpy(b->payload(), bytes.data(), bytes.size());
-  return Buffer(b, 0, bytes.size());
+  return build(bytes.size(), [&](std::uint8_t* out) {
+    std::memcpy(out, bytes.data(), bytes.size());
+  });
 }
+
+Buffer Buffer::uninitialized(std::size_t n) { return Buffer(t_slab.allocate(n), 0, n); }
+
+std::uint8_t* Buffer::writable() { return block_->payload() + off_; }
 
 Buffer Buffer::view(std::size_t offset, std::size_t length) const {
   if (length == 0 || offset + length > len_) return {};

@@ -35,6 +35,19 @@ class Buffer {
   Buffer(const std::vector<std::uint8_t>& bytes) : Buffer(copy_of(bytes)) {}
   static Buffer copy_of(std::span<const std::uint8_t> bytes);
 
+  /// The write-once constructor: takes an `n`-byte block from the slab and
+  /// hands its storage to `fill(std::uint8_t* out)`, which must write all n
+  /// bytes. Packet builders serialize headers and payload straight into the
+  /// block, so each byte is written exactly once and no staging vector is
+  /// allocated. The bytes are immutable once `build` returns.
+  template <typename Fill>
+  static Buffer build(std::size_t n, Fill&& fill) {
+    if (n == 0) return {};
+    Buffer b = uninitialized(n);
+    fill(b.writable());
+    return b;
+  }
+
   Buffer(const Buffer& other) noexcept
       : block_(other.block_), off_(other.off_), len_(other.len_) {
     retain();
@@ -101,6 +114,8 @@ class Buffer {
  private:
   Buffer(Block* block, std::size_t off, std::size_t len) noexcept
       : block_(block), off_(off), len_(len) {}
+  static Buffer uninitialized(std::size_t n);
+  std::uint8_t* writable();
   void retain() noexcept;
   void release() noexcept;
   void swap(Buffer& other) noexcept {

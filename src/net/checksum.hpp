@@ -9,9 +9,12 @@
 namespace streamlab {
 
 /// Running one's-complement sum; fold() produces the final checksum value.
-/// Sections may be added piecewise (header, pseudo-header, payload).
+/// Sections may be added piecewise (header, pseudo-header, payload), split at
+/// any byte — odd or even.
 class ChecksumAccumulator {
  public:
+  /// Sums 32-bit big-endian words: 2^16 ≡ 1 (mod 2^16 - 1), so a word's two
+  /// 16-bit halves added as one 32-bit value fold to the same checksum.
   void add(std::span<const std::uint8_t> data);
   void add_u16(std::uint16_t v);
   void add_u32(std::uint32_t v);
@@ -30,5 +33,11 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data);
 /// transport header + payload with its checksum field zeroed.
 std::uint16_t transport_checksum(Ipv4Address src, Ipv4Address dst, std::uint8_t protocol,
                                  std::span<const std::uint8_t> segment);
+
+/// The same checksum over a segment given as its header (checksum field
+/// zeroed) and payload, so encoders never copy the payload to checksum it.
+std::uint16_t transport_checksum(Ipv4Address src, Ipv4Address dst, std::uint8_t protocol,
+                                 std::span<const std::uint8_t> header,
+                                 std::span<const std::uint8_t> payload);
 
 }  // namespace streamlab

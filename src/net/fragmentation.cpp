@@ -5,31 +5,34 @@
 namespace streamlab {
 
 std::vector<Ipv4Packet> fragment_packet(const Ipv4Packet& packet, std::size_t mtu) {
-  if (packet.total_length() <= mtu) return {packet};
-  if (packet.header.dont_fragment) return {};
-
-  // Largest 8-byte-aligned payload per fragment.
-  const std::size_t max_payload = ((mtu - kIpv4HeaderSize) / 8) * 8;
   std::vector<Ipv4Packet> fragments;
-  const Buffer& payload = packet.payload;
-
-  std::size_t offset = 0;
-  while (offset < payload.size()) {
-    const std::size_t chunk = std::min(max_payload, payload.size() - offset);
-    Ipv4Packet frag;
-    frag.header = packet.header;
-    frag.header.fragment_offset_units =
-        static_cast<std::uint16_t>((packet.header.fragment_offset_bytes() + offset) / 8);
-    frag.header.more_fragments =
-        (offset + chunk < payload.size()) || packet.header.more_fragments;
-    // A view into the original datagram's block: fragmentation moves no
-    // payload bytes, only (offset, length) pairs.
-    frag.payload = payload.view(offset, chunk);
-    frag.header.total_length = static_cast<std::uint16_t>(frag.total_length());
-    fragments.push_back(std::move(frag));
-    offset += chunk;
-  }
+  for_each_fragment(packet, mtu, [&](const Ipv4Packet& f) { fragments.push_back(f); });
   return fragments;
+}
+
+std::size_t Reassembler::pending() const {
+  return static_cast<std::size_t>(
+      std::count_if(slots_.begin(), slots_.end(), [](const Partial& p) { return p.live; }));
+}
+
+Reassembler::Partial& Reassembler::slot_for(const Key& key, SimTime now) {
+  Partial* idle = nullptr;
+  for (Partial& p : slots_) {
+    if (p.live && p.key == key) return p;
+    if (!p.live && idle == nullptr) idle = &p;
+  }
+  if (idle == nullptr) idle = &slots_.emplace_back();
+  Partial& p = *idle;
+  p.live = true;
+  p.key = key;
+  p.bytes.clear();
+  p.have.clear();
+  p.covered = 0;
+  p.total_size.reset();
+  p.have_first = false;
+  p.first_seen = now;
+  p.fragment_count = 0;
+  return p;
 }
 
 std::optional<Ipv4Packet> Reassembler::offer(const Ipv4Packet& packet, SimTime now) {
@@ -41,21 +44,21 @@ std::optional<Ipv4Packet> Reassembler::offer(const Ipv4Packet& packet, SimTime n
 
   const Key key{packet.header.src.value(), packet.header.dst.value(),
                 packet.header.protocol, packet.header.identification};
-  auto [it, inserted] = partial_.try_emplace(key);
-  Partial& p = it->second;
-  if (inserted) p.first_seen = now;
+  Partial& p = slot_for(key, now);
   ++p.fragment_count;
 
   const std::size_t off = packet.header.fragment_offset_bytes();
   const std::size_t end = off + packet.payload.size();
   if (end > p.bytes.size()) {
     p.bytes.resize(end);
-    p.have.resize(end, false);
+    p.have.resize(end, 0);
   }
   std::copy(packet.payload.begin(), packet.payload.end(),
             p.bytes.begin() + static_cast<std::ptrdiff_t>(off));
-  std::fill(p.have.begin() + static_cast<std::ptrdiff_t>(off),
-            p.have.begin() + static_cast<std::ptrdiff_t>(end), true);
+  const auto have_begin = p.have.begin() + static_cast<std::ptrdiff_t>(off);
+  const auto have_end = p.have.begin() + static_cast<std::ptrdiff_t>(end);
+  p.covered += static_cast<std::size_t>(std::count(have_begin, have_end, 0));
+  std::fill(have_begin, have_end, 1);
 
   if (!packet.header.more_fragments) p.total_size = end;
   if (packet.header.fragment_offset_units == 0) {
@@ -64,7 +67,7 @@ std::optional<Ipv4Packet> Reassembler::offer(const Ipv4Packet& packet, SimTime n
   }
 
   if (!p.total_size || !p.have_first || p.bytes.size() != *p.total_size ||
-      !std::all_of(p.have.begin(), p.have.end(), [](bool b) { return b; })) {
+      p.covered != p.bytes.size()) {
     return std::nullopt;
   }
 
@@ -76,19 +79,17 @@ std::optional<Ipv4Packet> Reassembler::offer(const Ipv4Packet& packet, SimTime n
   // refcounted block); unfragmented packets above never reach this path.
   whole.payload = Buffer::copy_of(p.bytes);
   whole.header.total_length = static_cast<std::uint16_t>(whole.total_length());
-  partial_.erase(it);
+  p.live = false;
   ++stats_.datagrams_delivered;
   return whole;
 }
 
 void Reassembler::expire(SimTime now) {
-  for (auto it = partial_.begin(); it != partial_.end();) {
-    if (now - it->second.first_seen > timeout_) {
+  for (Partial& p : slots_) {
+    if (p.live && now - p.first_seen > timeout_) {
       ++stats_.datagrams_expired;
-      stats_.fragments_wasted += it->second.fragment_count;
-      it = partial_.erase(it);
-    } else {
-      ++it;
+      stats_.fragments_wasted += p.fragment_count;
+      p.live = false;
     }
   }
 }

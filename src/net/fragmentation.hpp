@@ -6,9 +6,10 @@
 // 1514-byte wire frames followed by one short tail fragment (Figures 4-5).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -16,11 +17,39 @@
 
 namespace streamlab {
 
-/// Splits a datagram into MTU-sized fragments, RFC 791 style. Returns the
-/// packet unchanged (single element) when it already fits. Fragment payload
-/// sizes are the largest multiple of 8 that fits, so a 1500-byte MTU yields
-/// 1480-byte fragment payloads — 1514-byte frames on the wire.
-/// Returns an empty vector if the packet has DF set and does not fit.
+/// Splits a datagram into MTU-sized fragments, RFC 791 style, handing each
+/// to `emit(const Ipv4Packet&)` in offset order. A packet that already fits
+/// is emitted unchanged. Fragment payload sizes are the largest multiple of
+/// 8 that fits, so a 1500-byte MTU yields 1480-byte fragment payloads —
+/// 1514-byte frames on the wire. Each fragment's payload is a view into the
+/// datagram's block: no payload byte moves and nothing is allocated.
+/// Emits nothing if the packet has DF set and does not fit.
+template <typename Emit>
+void for_each_fragment(const Ipv4Packet& packet, std::size_t mtu, Emit&& emit) {
+  if (packet.total_length() <= mtu) {
+    emit(packet);
+    return;
+  }
+  if (packet.header.dont_fragment) return;
+
+  // Largest 8-byte-aligned payload per fragment.
+  const std::size_t max_payload = ((mtu - kIpv4HeaderSize) / 8) * 8;
+  const Buffer& payload = packet.payload;
+  Ipv4Packet frag;
+  frag.header = packet.header;
+  for (std::size_t offset = 0; offset < payload.size(); offset += max_payload) {
+    const std::size_t chunk = std::min(max_payload, payload.size() - offset);
+    frag.header.fragment_offset_units =
+        static_cast<std::uint16_t>((packet.header.fragment_offset_bytes() + offset) / 8);
+    frag.header.more_fragments =
+        (offset + chunk < payload.size()) || packet.header.more_fragments;
+    frag.payload = payload.view(offset, chunk);
+    frag.header.total_length = static_cast<std::uint16_t>(frag.total_length());
+    emit(std::as_const(frag));
+  }
+}
+
+/// for_each_fragment collected into a vector (empty when DF forbids it).
 std::vector<Ipv4Packet> fragment_packet(const Ipv4Packet& packet, std::size_t mtu);
 
 /// Reassembles fragmented datagrams at the receiving host. Holds partial
@@ -48,7 +77,7 @@ class Reassembler {
   void expire(SimTime now);
 
   const Stats& stats() const { return stats_; }
-  std::size_t pending() const { return partial_.size(); }
+  std::size_t pending() const;
 
  private:
   struct Key {
@@ -56,11 +85,17 @@ class Reassembler {
     std::uint32_t dst;
     std::uint8_t protocol;
     std::uint16_t id;
-    auto operator<=>(const Key&) const = default;
+    bool operator==(const Key&) const = default;
   };
+  /// One partial datagram. Slots are reused, not freed: a completed or
+  /// expired partial only goes idle, keeping its byte and coverage capacity
+  /// for the next datagram, so steady-state reassembly allocates nothing.
   struct Partial {
+    bool live = false;
+    Key key{};
     std::vector<std::uint8_t> bytes;
-    std::vector<bool> have;          // per-byte coverage map
+    std::vector<std::uint8_t> have;  // per-byte coverage map (0/1)
+    std::size_t covered = 0;         // ones in `have`: complete when == size
     std::optional<std::size_t> total_size;
     Ipv4Header first_header;
     bool have_first = false;
@@ -68,8 +103,10 @@ class Reassembler {
     std::uint64_t fragment_count = 0;
   };
 
+  Partial& slot_for(const Key& key, SimTime now);
+
   Duration timeout_;
-  std::map<Key, Partial> partial_;
+  std::vector<Partial> slots_;
   Stats stats_;
 };
 

@@ -1,13 +1,22 @@
 #include "net/headers.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "net/checksum.hpp"
 
 namespace streamlab {
 
 void EthernetHeader::encode(ByteWriter& w) const {
-  w.bytes(dst.octets());
-  w.bytes(src.octets());
-  w.u16be(ethertype);
+  std::array<std::uint8_t, kEthernetHeaderSize> out;
+  encode_to(out.data());
+  w.bytes(out);
+}
+
+void EthernetHeader::encode_to(std::uint8_t* out) const {
+  std::copy(dst.octets().begin(), dst.octets().end(), out);
+  std::copy(src.octets().begin(), src.octets().end(), out + 6);
+  put_u16be(out + 12, ethertype);
 }
 
 Expected<EthernetHeader> EthernetHeader::decode(ByteReader& r) {
@@ -25,22 +34,26 @@ Expected<EthernetHeader> EthernetHeader::decode(ByteReader& r) {
 }
 
 void Ipv4Header::encode(ByteWriter& w) const {
-  const std::size_t start = w.size();
-  w.u8(0x45);  // version 4, IHL 5
-  w.u8(dscp);
-  w.u16be(total_length);
-  w.u16be(identification);
+  std::array<std::uint8_t, kIpv4HeaderSize> out;
+  encode_to(out.data());
+  w.bytes(out);
+}
+
+void Ipv4Header::encode_to(std::uint8_t* out) const {
+  out[0] = 0x45;  // version 4, IHL 5
+  out[1] = dscp;
+  put_u16be(out + 2, total_length);
+  put_u16be(out + 4, identification);
   std::uint16_t flags_frag = fragment_offset_units & 0x1FFF;
   if (dont_fragment) flags_frag |= 0x4000;
   if (more_fragments) flags_frag |= 0x2000;
-  w.u16be(flags_frag);
-  w.u8(ttl);
-  w.u8(protocol);
-  w.u16be(0);  // checksum placeholder
-  w.u32be(src.value());
-  w.u32be(dst.value());
-  const auto header = w.view().subspan(start, kIpv4HeaderSize);
-  w.patch_u16be(start + 10, internet_checksum(header));
+  put_u16be(out + 6, flags_frag);
+  out[8] = ttl;
+  out[9] = protocol;
+  put_u16be(out + 10, 0);  // checksum placeholder
+  put_u32be(out + 12, src.value());
+  put_u32be(out + 16, dst.value());
+  put_u16be(out + 10, internet_checksum({out, kIpv4HeaderSize}));
 }
 
 Expected<Ipv4Header> Ipv4Header::decode(ByteReader& r) {
@@ -72,18 +85,21 @@ Expected<Ipv4Header> Ipv4Header::decode(ByteReader& r) {
 
 void UdpHeader::encode(ByteWriter& w, Ipv4Address src_ip, Ipv4Address dst_ip,
                        std::span<const std::uint8_t> payload) const {
-  // Build the segment with a zero checksum, then compute over pseudo-header.
-  ByteWriter seg(kUdpHeaderSize + payload.size());
-  seg.u16be(src_port);
-  seg.u16be(dst_port);
-  seg.u16be(length);
-  seg.u16be(0);
-  seg.bytes(payload);
-  const std::uint16_t c = transport_checksum(src_ip, dst_ip, kIpProtoUdp, seg.view());
-  w.u16be(src_port);
-  w.u16be(dst_port);
-  w.u16be(length);
-  w.u16be(c);
+  std::array<std::uint8_t, kUdpHeaderSize> out;
+  encode_to(out.data(), src_ip, dst_ip, payload);
+  w.bytes(out);
+}
+
+void UdpHeader::encode_to(std::uint8_t* out, Ipv4Address src_ip, Ipv4Address dst_ip,
+                          std::span<const std::uint8_t> payload) const {
+  // Header with a zero checksum first, then the checksum over pseudo-header,
+  // header and payload, patched in.
+  put_u16be(out, src_port);
+  put_u16be(out + 2, dst_port);
+  put_u16be(out + 4, length);
+  put_u16be(out + 6, 0);
+  put_u16be(out + 6, transport_checksum(src_ip, dst_ip, kIpProtoUdp,
+                                        {out, kUdpHeaderSize}, payload));
 }
 
 Expected<UdpHeader> UdpHeader::decode(ByteReader& r) {
@@ -99,6 +115,13 @@ Expected<UdpHeader> UdpHeader::decode(ByteReader& r) {
 
 void TcpHeader::encode(ByteWriter& w, Ipv4Address src_ip, Ipv4Address dst_ip,
                        std::span<const std::uint8_t> payload) const {
+  std::array<std::uint8_t, kTcpHeaderSize> out;
+  encode_to(out.data(), src_ip, dst_ip, payload);
+  w.bytes(out);
+}
+
+void TcpHeader::encode_to(std::uint8_t* out, Ipv4Address src_ip, Ipv4Address dst_ip,
+                          std::span<const std::uint8_t> payload) const {
   std::uint16_t off_flags = static_cast<std::uint16_t>(5u << 12);
   if (flag_fin) off_flags |= 0x001;
   if (flag_syn) off_flags |= 0x002;
@@ -106,26 +129,16 @@ void TcpHeader::encode(ByteWriter& w, Ipv4Address src_ip, Ipv4Address dst_ip,
   if (flag_psh) off_flags |= 0x008;
   if (flag_ack) off_flags |= 0x010;
 
-  ByteWriter seg(kTcpHeaderSize + payload.size());
-  seg.u16be(src_port);
-  seg.u16be(dst_port);
-  seg.u32be(seq);
-  seg.u32be(ack);
-  seg.u16be(off_flags);
-  seg.u16be(window);
-  seg.u16be(0);  // checksum
-  seg.u16be(0);  // urgent pointer
-  seg.bytes(payload);
-  const std::uint16_t c = transport_checksum(src_ip, dst_ip, kIpProtoTcp, seg.view());
-
-  w.u16be(src_port);
-  w.u16be(dst_port);
-  w.u32be(seq);
-  w.u32be(ack);
-  w.u16be(off_flags);
-  w.u16be(window);
-  w.u16be(c);
-  w.u16be(0);
+  put_u16be(out, src_port);
+  put_u16be(out + 2, dst_port);
+  put_u32be(out + 4, seq);
+  put_u32be(out + 8, ack);
+  put_u16be(out + 12, off_flags);
+  put_u16be(out + 14, window);
+  put_u16be(out + 16, 0);  // checksum
+  put_u16be(out + 18, 0);  // urgent pointer
+  put_u16be(out + 16, transport_checksum(src_ip, dst_ip, kIpProtoTcp,
+                                         {out, kTcpHeaderSize}, payload));
 }
 
 Expected<TcpHeader> TcpHeader::decode(ByteReader& r) {
@@ -153,20 +166,21 @@ Expected<TcpHeader> TcpHeader::decode(ByteReader& r) {
 }
 
 void IcmpHeader::encode(ByteWriter& w, std::span<const std::uint8_t> payload) const {
-  ByteWriter msg(kIcmpHeaderSize + payload.size());
-  msg.u8(static_cast<std::uint8_t>(type));
-  msg.u8(code);
-  msg.u16be(0);
-  msg.u16be(identifier);
-  msg.u16be(sequence);
-  msg.bytes(payload);
-  const std::uint16_t c = internet_checksum(msg.view());
+  std::array<std::uint8_t, kIcmpHeaderSize> out;
+  encode_to(out.data(), payload);
+  w.bytes(out);
+}
 
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u8(code);
-  w.u16be(c);
-  w.u16be(identifier);
-  w.u16be(sequence);
+void IcmpHeader::encode_to(std::uint8_t* out, std::span<const std::uint8_t> payload) const {
+  out[0] = static_cast<std::uint8_t>(type);
+  out[1] = code;
+  put_u16be(out + 2, 0);
+  put_u16be(out + 4, identifier);
+  put_u16be(out + 6, sequence);
+  ChecksumAccumulator acc;
+  acc.add({out, kIcmpHeaderSize});
+  acc.add(payload);
+  put_u16be(out + 2, acc.fold());
 }
 
 Expected<IcmpHeader> IcmpHeader::decode(ByteReader& r) {

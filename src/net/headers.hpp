@@ -34,6 +34,8 @@ struct EthernetHeader {
   std::uint16_t ethertype = kEtherTypeIpv4;
 
   void encode(ByteWriter& w) const;
+  /// Writes the kEthernetHeaderSize header bytes to `out`.
+  void encode_to(std::uint8_t* out) const;
   static Expected<EthernetHeader> decode(ByteReader& r);
 };
 
@@ -67,6 +69,8 @@ struct Ipv4Header {
 
   /// Encodes with a freshly computed header checksum.
   void encode(ByteWriter& w) const;
+  /// Writes the kIpv4HeaderSize header bytes, checksum included, to `out`.
+  void encode_to(std::uint8_t* out) const;
   /// Decodes and verifies the checksum; rejects IHL != 5 (options unused in
   /// the study) and version != 4.
   static Expected<Ipv4Header> decode(ByteReader& r);
@@ -81,6 +85,10 @@ struct UdpHeader {
   /// Encodes with the checksum computed over the pseudo-header and payload.
   void encode(ByteWriter& w, Ipv4Address src_ip, Ipv4Address dst_ip,
               std::span<const std::uint8_t> payload) const;
+  /// Writes the kUdpHeaderSize header bytes to `out`; the checksum reads
+  /// `payload` in place (no segment copy).
+  void encode_to(std::uint8_t* out, Ipv4Address src_ip, Ipv4Address dst_ip,
+                 std::span<const std::uint8_t> payload) const;
   static Expected<UdpHeader> decode(ByteReader& r);
 };
 
@@ -99,6 +107,9 @@ struct TcpHeader {
 
   void encode(ByteWriter& w, Ipv4Address src_ip, Ipv4Address dst_ip,
               std::span<const std::uint8_t> payload) const;
+  /// Writes the kTcpHeaderSize header bytes to `out` (see UdpHeader).
+  void encode_to(std::uint8_t* out, Ipv4Address src_ip, Ipv4Address dst_ip,
+                 std::span<const std::uint8_t> payload) const;
   static Expected<TcpHeader> decode(ByteReader& r);
 };
 
@@ -117,6 +128,8 @@ struct IcmpHeader {
   std::uint16_t sequence = 0;    ///< echo sequence, or unused
 
   void encode(ByteWriter& w, std::span<const std::uint8_t> payload) const;
+  /// Writes the kIcmpHeaderSize header bytes to `out`.
+  void encode_to(std::uint8_t* out, std::span<const std::uint8_t> payload) const;
   static Expected<IcmpHeader> decode(ByteReader& r);
 };
 

@@ -1,5 +1,7 @@
 #include "net/packet.hpp"
 
+#include <algorithm>
+
 namespace streamlab {
 
 Ipv4Packet make_udp_packet(Endpoint src, Endpoint dst, std::span<const std::uint8_t> payload,
@@ -16,10 +18,10 @@ Ipv4Packet make_udp_packet(Endpoint src, Endpoint dst, std::span<const std::uint
   udp.dst_port = dst.port;
   udp.length = static_cast<std::uint16_t>(kUdpHeaderSize + payload.size());
 
-  ByteWriter w(kUdpHeaderSize + payload.size());
-  udp.encode(w, src.ip, dst.ip, payload);
-  w.bytes(payload);
-  pkt.payload = Buffer::copy_of(w.view());
+  pkt.payload = Buffer::build(kUdpHeaderSize + payload.size(), [&](std::uint8_t* out) {
+    udp.encode_to(out, src.ip, dst.ip, payload);
+    std::copy(payload.begin(), payload.end(), out + kUdpHeaderSize);
+  });
   pkt.header.total_length = static_cast<std::uint16_t>(pkt.total_length());
   return pkt;
 }
@@ -39,10 +41,10 @@ Ipv4Packet make_tcp_packet(Endpoint src, Endpoint dst, const TcpHeader& tcp,
   seg.src_port = src.port;
   seg.dst_port = dst.port;
 
-  ByteWriter w(kTcpHeaderSize + payload.size());
-  seg.encode(w, src.ip, dst.ip, payload);
-  w.bytes(payload);
-  pkt.payload = Buffer::copy_of(w.view());
+  pkt.payload = Buffer::build(kTcpHeaderSize + payload.size(), [&](std::uint8_t* out) {
+    seg.encode_to(out, src.ip, dst.ip, payload);
+    std::copy(payload.begin(), payload.end(), out + kTcpHeaderSize);
+  });
   pkt.header.total_length = static_cast<std::uint16_t>(pkt.total_length());
   return pkt;
 }
@@ -57,23 +59,25 @@ Ipv4Packet make_icmp_packet(Ipv4Address src, Ipv4Address dst, const IcmpHeader& 
   pkt.header.src = src;
   pkt.header.dst = dst;
 
-  ByteWriter w(kIcmpHeaderSize + payload.size());
-  icmp.encode(w, payload);
-  w.bytes(payload);
-  pkt.payload = Buffer::copy_of(w.view());
+  pkt.payload = Buffer::build(kIcmpHeaderSize + payload.size(), [&](std::uint8_t* out) {
+    icmp.encode_to(out, payload);
+    std::copy(payload.begin(), payload.end(), out + kIcmpHeaderSize);
+  });
   pkt.header.total_length = static_cast<std::uint16_t>(pkt.total_length());
   return pkt;
 }
 
 Frame frame_ipv4(MacAddress src_mac, MacAddress dst_mac, const Ipv4Packet& packet) {
-  ByteWriter w(kEthernetHeaderSize + packet.total_length());
   EthernetHeader eth;
   eth.src = src_mac;
   eth.dst = dst_mac;
-  eth.encode(w);
-  packet.header.encode(w);
-  w.bytes(packet.payload.bytes());
-  return Frame(Buffer::copy_of(w.view()));
+  return Frame(Buffer::build(
+      kEthernetHeaderSize + packet.total_length(), [&](std::uint8_t* out) {
+        eth.encode_to(out);
+        packet.header.encode_to(out + kEthernetHeaderSize);
+        std::copy(packet.payload.begin(), packet.payload.end(),
+                  out + kEthernetHeaderSize + kIpv4HeaderSize);
+      }));
 }
 
 namespace {

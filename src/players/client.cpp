@@ -740,8 +740,7 @@ std::uint64_t StreamClient::subflow_packets_lost(int id) const {
 void StreamClient::release_app_batch() {
   const SimTime now = host_.loop().now();
   while (!pending_app_.empty()) {
-    PacketEvent ev = pending_app_.front();
-    pending_app_.pop_front();
+    PacketEvent ev = pending_app_.pop_front();
     ev.app_time = now;
     app_coverage_.insert(ev.media_offset, ev.media_offset + ev.media_len);
     packets_.push_back(ev);

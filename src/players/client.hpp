@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -21,6 +20,7 @@
 #include "sim/audit.hpp"
 #include "sim/host.hpp"
 #include "util/interval_set.hpp"
+#include "util/ring.hpp"
 
 namespace streamlab {
 
@@ -325,7 +325,7 @@ class StreamClient {
   std::uint16_t port_;
 
   std::vector<PacketEvent> packets_;
-  std::deque<PacketEvent> pending_app_;  ///< awaiting batched release (WM)
+  Ring<PacketEvent> pending_app_;  ///< awaiting batched release (WM)
   bool batch_timer_armed_ = false;
 
   IntervalSet coverage_;      ///< network-layer byte coverage

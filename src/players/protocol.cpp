@@ -1,5 +1,8 @@
 #include "players/protocol.hpp"
 
+#include <algorithm>
+#include <array>
+
 namespace streamlab {
 
 std::vector<std::uint8_t> ControlMessage::encode() const {
@@ -30,22 +33,49 @@ std::optional<ControlMessage> ControlMessage::decode(std::span<const std::uint8_
   return msg;
 }
 
+namespace {
+
+/// Two periods of the byte ramp 0..255: any 256-byte window of it is the
+/// ramp starting at that window's first byte.
+constexpr std::array<std::uint8_t, 512> kRamp = [] {
+  std::array<std::uint8_t, 512> r{};
+  for (std::size_t i = 0; i < r.size(); ++i) r[i] = static_cast<std::uint8_t>(i);
+  return r;
+}();
+
+}  // namespace
+
+void DataHeader::encode_into(const DataHeader& header, std::size_t media_len,
+                             std::vector<std::uint8_t>& out) {
+  const bool multipath = (header.flags & kFlagMultipath) != 0;
+  const std::size_t header_len = kDataHeaderSize + (multipath ? kMultipathExtensionSize : 0);
+  out.clear();
+  out.reserve(header_len + media_len);
+  out.resize(header_len);
+  std::uint8_t* p = out.data();
+  put_u16be(p, kDataMagic);
+  p[2] = header.flags;
+  p[3] = multipath ? header.subflow_id : std::uint8_t{0};  // reserved pre-multipath
+  put_u32be(p + 4, header.seq);
+  put_u32be(p + 8, static_cast<std::uint32_t>(header.media_offset >> 32));
+  put_u32be(p + 12, static_cast<std::uint32_t>(header.media_offset));
+  if (multipath) put_u32be(p + 16, header.subflow_seq);
+  // Synthetic media payload: deterministic pattern, compressible but nonzero
+  // so captures are visually distinguishable from padding — the byte ramp
+  // (media_offset + i) & 0xFF, appended 256 bytes (one period) at a time.
+  const auto* ramp = kRamp.data() + (header.media_offset & 0xFF);
+  for (std::size_t left = media_len; left > 0;) {
+    const std::size_t chunk = std::min<std::size_t>(left, 256);
+    out.insert(out.end(), ramp, ramp + chunk);
+    left -= chunk;
+  }
+}
+
 std::vector<std::uint8_t> DataHeader::make_packet(const DataHeader& header,
                                                   std::size_t media_len) {
-  const bool multipath = (header.flags & kFlagMultipath) != 0;
-  ByteWriter w(kDataHeaderSize + (multipath ? kMultipathExtensionSize : 0) + media_len);
-  w.u16be(kDataMagic);
-  w.u8(header.flags);
-  w.u8(multipath ? header.subflow_id : std::uint8_t{0});  // reserved pre-multipath
-  w.u32be(header.seq);
-  w.u32be(static_cast<std::uint32_t>(header.media_offset >> 32));
-  w.u32be(static_cast<std::uint32_t>(header.media_offset));
-  if (multipath) w.u32be(header.subflow_seq);
-  // Synthetic media payload: deterministic pattern, compressible but nonzero
-  // so captures are visually distinguishable from padding.
-  for (std::size_t i = 0; i < media_len; ++i)
-    w.u8(static_cast<std::uint8_t>((header.media_offset + i) & 0xFF));
-  return w.take();
+  std::vector<std::uint8_t> out;
+  encode_into(header, media_len, out);
+  return out;
 }
 
 std::optional<DataHeader> DataHeader::decode(std::span<const std::uint8_t> payload,
@@ -71,20 +101,29 @@ bool ParityHeader::covers(std::uint32_t seq) const {
   return delta % stride == 0 && delta / stride < k;
 }
 
+void ParityHeader::encode_into(const ParityHeader& header, std::size_t pad_len,
+                               std::vector<std::uint8_t>& out) {
+  out.clear();
+  out.reserve(kParityHeaderSize + pad_len);
+  out.resize(kParityHeaderSize);
+  std::uint8_t* p = out.data();
+  put_u16be(p, kParityMagic);
+  p[2] = header.k;
+  p[3] = header.stride;
+  put_u32be(p + 4, header.block_base);
+  put_u32be(p + 8, static_cast<std::uint32_t>(header.xor_media_offset >> 32));
+  put_u32be(p + 12, static_cast<std::uint32_t>(header.xor_media_offset));
+  put_u32be(p + 16, header.xor_media_len);
+  p[20] = header.xor_flags;
+  p[21] = 0;  // reserved
+  out.resize(kParityHeaderSize + pad_len, std::uint8_t{0xFE});
+}
+
 std::vector<std::uint8_t> ParityHeader::make_packet(const ParityHeader& header,
                                                     std::size_t pad_len) {
-  ByteWriter w(kParityHeaderSize + pad_len);
-  w.u16be(kParityMagic);
-  w.u8(header.k);
-  w.u8(header.stride);
-  w.u32be(header.block_base);
-  w.u32be(static_cast<std::uint32_t>(header.xor_media_offset >> 32));
-  w.u32be(static_cast<std::uint32_t>(header.xor_media_offset));
-  w.u32be(header.xor_media_len);
-  w.u8(header.xor_flags);
-  w.u8(0);  // reserved
-  for (std::size_t i = 0; i < pad_len; ++i) w.u8(0xFE);
-  return w.take();
+  std::vector<std::uint8_t> out;
+  encode_into(header, pad_len, out);
+  return out;
 }
 
 std::optional<ParityHeader> ParityHeader::decode(std::span<const std::uint8_t> payload) {

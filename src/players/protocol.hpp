@@ -82,7 +82,12 @@ struct DataHeader {
   std::uint8_t subflow_id = 0;
   std::uint32_t subflow_seq = 0;
 
-  /// Serializes header followed by `media_len` synthetic payload bytes.
+  /// Serializes header followed by `media_len` synthetic payload bytes into
+  /// `out`, replacing its contents. The server passes one scratch vector for
+  /// every packet, so steady-state sends reuse its capacity.
+  static void encode_into(const DataHeader& header, std::size_t media_len,
+                          std::vector<std::uint8_t>& out);
+  /// encode_into a fresh vector.
   static std::vector<std::uint8_t> make_packet(const DataHeader& header,
                                                std::size_t media_len);
   /// Parses the header; returns the media byte count via `media_len`.
@@ -108,7 +113,11 @@ struct ParityHeader {
   /// True when `seq` is one of the k covered sequence numbers.
   bool covers(std::uint32_t seq) const;
 
-  /// Serializes header followed by `pad_len` filler bytes (bandwidth model).
+  /// Serializes header followed by `pad_len` filler bytes (bandwidth model)
+  /// into `out`, replacing its contents.
+  static void encode_into(const ParityHeader& header, std::size_t pad_len,
+                          std::vector<std::uint8_t>& out);
+  /// encode_into a fresh vector.
   static std::vector<std::uint8_t> make_packet(const ParityHeader& header,
                                                std::size_t pad_len);
   static std::optional<ParityHeader> decode(std::span<const std::uint8_t> payload);

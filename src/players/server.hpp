@@ -158,6 +158,9 @@ class StreamServer {
   std::uint64_t next_offset_ = 0;
   std::uint64_t duplicate_play_requests_ = 0;
   std::vector<SendEvent> send_log_;
+  /// Reused wire image of the packet being sent: every data, parity and
+  /// retransmission packet is encoded into it, so sends reuse its capacity.
+  std::vector<std::uint8_t> packet_bytes_;
 
   struct ScalingState {
     ScalingController controller;

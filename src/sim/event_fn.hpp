@@ -3,11 +3,13 @@
 // `std::function<void()>` heap-allocates for any capture larger than two
 // pointers, which at city-scale fleet sizes means one allocation per
 // scheduled event. EventFn is a move-only callable with 48 bytes of inline
-// storage — enough for every capture the players, links and fleet sessions
-// actually schedule (a couple of pointers, an index, a Buffer) — so the
-// common path stores the closure directly inside the queued event. Larger
-// or throwing-move captures fall back to a single heap cell, preserving
-// std::function semantics for the rare big capture.
+// storage, so a closure that fits is stored directly inside the queued
+// event. Every capture the simulator schedules today fits — `this` plus an
+// index or two — because nothing schedules a packet by value: a link keeps
+// its in-flight packets in a per-direction FIFO and posts only
+// `[this, dir]` (an Ipv4Packet capture would be 64 B). Larger or
+// throwing-move captures fall back to a single heap cell per event,
+// preserving std::function semantics for the rare big capture.
 #pragma once
 
 #include <cstddef>

@@ -41,10 +41,14 @@ void Host::udp_send(std::uint16_t src_port, Endpoint dst,
 
 void Host::udp_send_from(Ipv4Address src, std::uint16_t src_port, Endpoint dst,
                          std::span<const std::uint8_t> payload, std::uint8_t ttl) {
+  if (payload.size() > kMaxUdpPayload) {
+    ++stats_.udp_oversize;
+    return;
+  }
   const Ipv4Packet datagram =
       make_udp_packet(Endpoint{src, src_port}, dst, payload, next_ip_id_++, ttl);
   ++stats_.udp_datagrams_sent;
-  for (const auto& fragment : fragment_packet(datagram, mtu_)) transmit(fragment);
+  for_each_fragment(datagram, mtu_, [this](const Ipv4Packet& fragment) { transmit(fragment); });
 }
 
 void Host::send_icmp_echo(Ipv4Address dst, std::uint16_t identifier, std::uint16_t sequence,

@@ -42,6 +42,9 @@ class Host : public Node {
     std::uint64_t ip_packets_sent = 0;
     std::uint64_t udp_datagrams_received = 0;
     std::uint64_t udp_no_listener = 0;
+    /// Datagrams refused by udp_send: the payload exceeds kMaxUdpPayload,
+    /// so the 16-bit UDP and IPv4 length fields cannot describe it.
+    std::uint64_t udp_oversize = 0;
     std::uint64_t icmp_received = 0;
   };
 
@@ -70,8 +73,14 @@ class Host : public Node {
   void udp_bind(std::uint16_t port, UdpHandler handler);
   void udp_unbind(std::uint16_t port);
 
+  /// Largest UDP payload an IPv4 datagram can carry: 65535 minus the IPv4
+  /// and UDP headers.
+  static constexpr std::size_t kMaxUdpPayload = 65535 - kIpv4HeaderSize - kUdpHeaderSize;
+
   /// Sends a UDP datagram. Payloads whose IP datagram exceeds the MTU are
   /// fragmented by this host's IP layer (the MediaPlayer path in the paper).
+  /// A payload above kMaxUdpPayload is dropped and counted in
+  /// Stats::udp_oversize instead of going out with wrapped length fields.
   void udp_send(std::uint16_t src_port, Endpoint dst, std::span<const std::uint8_t> payload,
                 std::uint8_t ttl = 64);
 

@@ -54,7 +54,7 @@ void Link::send(int dir, const Ipv4Packet& packet) {
       // Full audit recomputes the byte ledger from scratch on every enqueue:
       // the incremental queued_bytes must equal the sum over queued packets.
       std::size_t total = 0;
-      for (const Ipv4Packet& q : d.queue) total += wire_size(q);
+      for (std::size_t i = 0; i < d.queue.size(); ++i) total += wire_size(d.queue[i]);
       if (total != d.queued_bytes)
         a->violation(audit::Invariant::kQueueBounds, loop_.now(),
                      audit_label_ + " queued_bytes out of sync with queue contents",
@@ -113,8 +113,7 @@ bool Link::drop_on_wire(DirectionStats& stats) {
 
 void Link::finish_transmission(int dir) {
   Direction& d = dir_[dir];
-  Ipv4Packet packet = std::move(d.queue.front());
-  d.queue.pop_front();
+  Ipv4Packet packet = d.queue.pop_front();
   d.queued_bytes -= wire_size(packet);
   if (obs_) sample_queue(dir);
 
@@ -128,20 +127,23 @@ void Link::finish_transmission(int dir) {
       delay += Duration::from_seconds(std::max(0.0, noise));
     }
     // A physical pipe cannot reorder: clamp delivery to after the previous
-    // packet in this direction.
+    // packet in this direction. The clamp is what lets the packet wait in
+    // the in-flight FIFO instead of inside the event: deliveries of one
+    // direction fire in post order (same-time events fire by sequence), so
+    // each one pops the packet it was posted for — and the 16-byte capture
+    // stays inside EventFn's inline budget.
     SimTime deliver_at = loop_.now() + delay;
     if (deliver_at < d.last_delivery) deliver_at = d.last_delivery;
     d.last_delivery = deliver_at;
-    ++d.in_flight;
-    loop_.post_at(deliver_at, [this, dir, p = std::move(packet)] { deliver(dir, p); },
-                      obs::EventCategory::kLink);
+    d.in_flight.push_back(std::move(packet));
+    loop_.post_at(deliver_at, [this, dir] { deliver(dir); }, obs::EventCategory::kLink);
   }
   start_transmission(dir);
 }
 
-void Link::deliver(int dir, Ipv4Packet packet) {
+void Link::deliver(int dir) {
   Direction& d = dir_[dir];
-  --d.in_flight;
+  const Ipv4Packet packet = d.in_flight.pop_front();
   ++d.stats.packets_delivered;
   d.stats.bytes_delivered += wire_size(packet);
   if (obs_) obs_->delivered.add();
@@ -159,7 +161,7 @@ void Link::audit_conservation(audit::Auditor& auditor, SimTime now) const {
                                   s.packets_dropped_outage + s.packets_dropped_burst;
     auditor.check_conservation(audit_label_ + kDirName[dir], s.packets_sent,
                                s.packets_delivered, dropped, d.queue.size(),
-                               d.in_flight, now);
+                               d.in_flight.size(), now);
   }
 }
 

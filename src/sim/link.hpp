@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -19,6 +18,7 @@
 #include "sim/event_loop.hpp"
 #include "sim/node.hpp"
 #include "util/rate.hpp"
+#include "util/ring.hpp"
 #include "util/rng.hpp"
 
 namespace streamlab {
@@ -110,11 +110,13 @@ class Link {
 
  private:
   struct Direction {
-    std::deque<Ipv4Packet> queue;
+    Ring<Ipv4Packet> queue;  ///< awaiting serialization
     std::size_t queued_bytes = 0;
     bool transmitting = false;
-    SimTime last_delivery;  // FIFO guard: jitter never reorders a direction
-    std::uint64_t in_flight = 0;  ///< serialized, propagation pending
+    /// FIFO guard: jitter never reorders a direction. Load-bearing — the
+    /// delivery events carry no packet, they pop `in_flight` in order.
+    SimTime last_delivery;
+    Ring<Ipv4Packet> in_flight;  ///< serialized, propagation pending
     DirectionStats stats;
   };
 
@@ -138,7 +140,7 @@ class Link {
   bool drop_on_wire(DirectionStats& stats);
   void start_transmission(int dir);
   void finish_transmission(int dir);
-  void deliver(int dir, Ipv4Packet packet);
+  void deliver(int dir);
   void sample_queue(int dir);
 
   EventLoop& loop_;

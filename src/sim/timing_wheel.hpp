@@ -51,6 +51,7 @@ class TimingWheel {
   // 10 + 9·6 = 64 bits: the top level's span covers the whole non-negative
   // int64 range, so any `when` (including SimTime::max()) has a bucket.
   static constexpr int kLevels = 9;
+  static constexpr std::size_t kFirstBucketCapacity = 8;
 
   bool empty() const { return size_ == 0 && ready_.empty(); }
   std::size_t size() const { return size_ + ready_.size(); }
@@ -65,7 +66,12 @@ class TimingWheel {
     }
     const int level = level_for(when);
     const std::size_t idx = (static_cast<std::uint64_t>(when) >> shift(level)) & kMask;
-    buckets_[level][idx].push_back(std::move(ev));
+    std::vector<Event>& bucket = buckets_[level][idx];
+    // A bucket's first event sizes it for a handful: buckets keep their
+    // capacity forever, and growing 1 -> 2 -> 4 one record occupancy at a
+    // time would keep allocating deep into a steady-state run.
+    if (bucket.capacity() == 0) bucket.reserve(kFirstBucketCapacity);
+    bucket.push_back(std::move(ev));
     occupied_[level] |= std::uint64_t{1} << idx;
     ++size_;
   }

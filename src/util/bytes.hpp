@@ -65,6 +65,18 @@ class ByteWriter {
   std::vector<std::uint8_t> buf_;
 };
 
+/// Big-endian stores into raw storage, for encoders that write a header
+/// straight into its final buffer (net::Buffer::build) instead of growing
+/// a ByteWriter. The caller guarantees the bytes are in bounds.
+inline void put_u16be(std::uint8_t* out, std::uint16_t v) {
+  out[0] = static_cast<std::uint8_t>(v >> 8);
+  out[1] = static_cast<std::uint8_t>(v);
+}
+inline void put_u32be(std::uint8_t* out, std::uint32_t v) {
+  put_u16be(out, static_cast<std::uint16_t>(v >> 16));
+  put_u16be(out + 2, static_cast<std::uint16_t>(v));
+}
+
 /// Hex dump ("de ad be ef ..."), mostly for test failure messages.
 std::string hex_dump(std::span<const std::uint8_t> data, std::size_t max_bytes = 64);
 

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 
 namespace streamlab {
@@ -11,24 +12,31 @@ namespace streamlab {
 class IntervalSet {
  public:
   /// Inserts [start, end), merging with any overlapping/adjacent intervals.
-  /// Empty or inverted ranges are ignored.
+  /// Empty or inverted ranges are ignored. An insert that touches an
+  /// existing interval grows it in place (re-keying its node when the start
+  /// moves down), so in-order and reordered arrivals allocate nothing; only
+  /// a range that opens a new gap-separated interval allocates a node.
   void insert(std::uint64_t start, std::uint64_t end) {
     if (start >= end) return;
-    // Find the first interval that could overlap or touch [start, end).
+    // The interval that grows: the last one starting at or before `start`
+    // if it reaches it, else the first one starting inside [start, end].
     auto it = intervals_.upper_bound(start);
-    if (it != intervals_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second >= start) {
-        start = prev->first;
-        end = end > prev->second ? end : prev->second;
-        it = intervals_.erase(prev);
-      }
+    if (it != intervals_.begin() && std::prev(it)->second >= start) {
+      --it;
+    } else if (it != intervals_.end() && it->first <= end) {
+      auto node = intervals_.extract(it);
+      node.key() = start;
+      it = intervals_.insert(std::move(node)).position;
+    } else {
+      intervals_.emplace_hint(it, start, end);
+      return;
     }
-    while (it != intervals_.end() && it->first <= end) {
-      end = end > it->second ? end : it->second;
-      it = intervals_.erase(it);
+    if (end > it->second) it->second = end;
+    // Swallow every later interval the grown one now reaches.
+    for (auto next = std::next(it); next != intervals_.end() && next->first <= it->second;
+         next = intervals_.erase(next)) {
+      if (next->second > it->second) it->second = next->second;
     }
-    intervals_.emplace(start, end);
   }
 
   /// True when every byte of [start, end) is present.

@@ -84,6 +84,35 @@ TEST(Host, LargeDatagramFragmentsAndReassembles) {
   EXPECT_EQ(hp.b.reassembly_stats().datagrams_delivered, 1u);
 }
 
+TEST(Host, OversizeDatagramIsDroppedAndCounted) {
+  // 65507 bytes is the largest payload the 16-bit UDP/IPv4 length fields can
+  // describe; one byte more used to go out with wrapped lengths.
+  HostPair hp;
+  std::vector<std::size_t> received;
+  hp.b.udp_bind(7000, [&](std::span<const std::uint8_t> data, Endpoint, SimTime) {
+    received.push_back(data.size());
+  });
+  int tapped = 0;
+  hp.a.set_tap([&](const Ipv4Packet&, TapDirection, SimTime) { ++tapped; });
+
+  hp.a.udp_send(1, Endpoint{hp.b.address(), 7000},
+                std::vector<std::uint8_t>(Host::kMaxUdpPayload + 1, 7));
+  hp.loop.run();
+  EXPECT_EQ(hp.a.stats().udp_oversize, 1u);
+  EXPECT_EQ(hp.a.stats().udp_datagrams_sent, 0u);
+  EXPECT_EQ(hp.a.stats().ip_packets_sent, 0u);
+  EXPECT_EQ(tapped, 0);
+  EXPECT_TRUE(received.empty());
+
+  // The largest legal payload still goes out, fragments and reassembles.
+  hp.a.udp_send(1, Endpoint{hp.b.address(), 7000},
+                std::vector<std::uint8_t>(Host::kMaxUdpPayload, 7));
+  hp.loop.run();
+  EXPECT_EQ(hp.a.stats().udp_oversize, 1u);
+  EXPECT_EQ(hp.a.stats().udp_datagrams_sent, 1u);
+  EXPECT_EQ(received, std::vector<std::size_t>{Host::kMaxUdpPayload});
+}
+
 TEST(Host, TapSeesFragmentsBeforeReassembly) {
   HostPair hp;
   hp.b.udp_bind(7000, [](auto, auto, auto) {});

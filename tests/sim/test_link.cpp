@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "sim/audit.hpp"
+
 namespace streamlab {
 namespace {
 
@@ -163,6 +165,49 @@ TEST(Link, StatsCountBytes) {
   f.loop.run();
   EXPECT_EQ(link->stats_a_to_b().bytes_delivered, 142u);
   EXPECT_EQ(link->stats_b_to_a().bytes_delivered, 0u);
+}
+
+TEST(Link, InFlightFifoKeepsSendOrderWhenDelayShrinksMidFlight) {
+  // Packets wait out propagation in a per-direction FIFO and each delivery
+  // event pops the front, so the send order must survive jitter and an
+  // extra_delay that drops while earlier packets are still in flight —
+  // the case where later packets would overtake without the clamp.
+  LinkFixture f;
+  audit::Auditor auditor;
+  f.loop.set_auditor(&auditor);
+  LinkConfig cfg;
+  cfg.bandwidth = BitRate::mbps(10);  // 300 packets take ~34 ms to serialize
+  cfg.propagation = Duration::millis(5);
+  cfg.jitter_stddev = Duration::millis(2);
+  auto link = f.make(cfg, 11);
+
+  for (std::uint16_t i = 0; i < 300; ++i) link->send_from_a(small_packet(i));
+  LinkImpairment slow;
+  slow.extra_delay = Duration::millis(30);
+  f.loop.post_at(SimTime::from_seconds(0.001), [&] { link->set_impairment(slow); });
+  f.loop.post_at(SimTime::from_seconds(0.002), [&] { link->clear_impairment(); });
+
+  // Mid-run: packets are queued, in flight and delivered at once, and the
+  // ledger balances.
+  f.loop.run_until(SimTime::from_seconds(0.008));
+  const auto& mid = link->stats_a_to_b();
+  EXPECT_GT(mid.packets_delivered, 0u);
+  EXPECT_LT(mid.packets_delivered, 100u);
+  link->audit_conservation(auditor, f.loop.now());
+  EXPECT_TRUE(auditor.report().clean()) << auditor.report().summary();
+
+  f.loop.run();
+  ASSERT_EQ(f.b.deliveries.size(), 300u);
+  for (std::size_t i = 0; i < f.b.deliveries.size(); ++i)
+    EXPECT_EQ(f.b.deliveries[i].packet.header.identification, i);
+  // The shrinking delay really did bunch deliveries up against the clamp.
+  bool clamped = false;
+  for (std::size_t i = 1; i < f.b.deliveries.size(); ++i)
+    clamped |= f.b.deliveries[i].when == f.b.deliveries[i - 1].when;
+  EXPECT_TRUE(clamped);
+  link->audit_conservation(auditor, f.loop.now());
+  EXPECT_TRUE(auditor.report().clean()) << auditor.report().summary();
+  EXPECT_EQ(link->stats_a_to_b().packets_delivered, 300u);
 }
 
 }  // namespace
