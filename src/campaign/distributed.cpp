@@ -270,14 +270,6 @@ CampaignResult run_distributed_campaign(const CampaignConfig& config,
     }
     const Clock::time_point now = Clock::now();
 
-    // Fault injection: one planted SIGKILL, exercised by tests and the CI
-    // reassignment-determinism smoke.
-    if (options.kill_worker_after > 0 && !kill_fired &&
-        results_received >= options.kill_worker_after) {
-      kill_fired = true;
-      if (slots[0].state != Slot::State::kDead) slots[0].proc.kill(SIGKILL);
-    }
-
     // Respawn dead slots while reassignable work exists.
     if (!pending.empty()) {
       for (std::size_t s = 0; s < slots.size(); ++s) {
@@ -304,9 +296,21 @@ CampaignResult run_distributed_campaign(const CampaignConfig& config,
       }
     }
 
+    // Fault injection: one planted SIGKILL, exercised by tests and the CI
+    // reassignment-determinism smoke. Once armed it waits until worker 0
+    // holds a trial — the other workers take no new work while worker 0 is
+    // still starting up, so they cannot finish the campaign first — and
+    // then declares the worker dead on the spot. The kill therefore always
+    // costs that trial: a result the worker managed to write first is
+    // discarded with its pipe rather than read, and the trial is reassigned.
+    const bool kill_armed = options.kill_worker_after > 0 && !kill_fired &&
+                            results_received >= options.kill_worker_after;
+
     // Hand eligible pending trials (lowest index first) to idle workers.
     for (Slot& slot : slots) {
       if (slot.state != Slot::State::kIdle || pending.empty()) continue;
+      if (kill_armed && &slot != &slots[0] && slots[0].state == Slot::State::kSpawning)
+        continue;
       auto best = pending.end();
       for (auto it = pending.begin(); it != pending.end(); ++it) {
         if (it->eligible_at > now) continue;
@@ -330,6 +334,11 @@ CampaignResult run_distributed_campaign(const CampaignConfig& config,
       slot.work = std::move(work);
       slot.trial_start = now;
       slot.state = Slot::State::kBusy;
+    }
+
+    if (kill_armed && slots[0].state == Slot::State::kBusy) {
+      kill_fired = true;
+      fail_worker(slots[0], "planted kill");
     }
 
     // Graceful degradation: the whole fleet is dead and no slot may

@@ -64,9 +64,10 @@ struct DistributedOptions {
   /// Base of the exponential backoff before a dead slot respawns.
   std::chrono::milliseconds restart_backoff{50};
 
-  /// Fault injection: SIGKILL worker slot 0 after this many results have
-  /// been received fleet-wide (0 = off). Drives the --kill-worker-after
-  /// CLI flag and the CI reassignment-determinism smoke.
+  /// Fault injection: SIGKILL worker slot 0 once this many results have
+  /// been received fleet-wide and it holds a trial (0 = off); that trial
+  /// is reassigned. Drives the --kill-worker-after CLI flag and the CI
+  /// reassignment-determinism smoke.
   std::size_t kill_worker_after = 0;
 
   /// Extra environment ("NAME=value") per worker slot, e.g. planting

@@ -10,9 +10,18 @@
 // `[this, dir]` (an Ipv4Packet capture would be 64 B). Larger or
 // throwing-move captures fall back to a single heap cell per event,
 // preserving std::function semantics for the rare big capture.
+//
+// A queued event is moved several times (into its wheel bucket, down a
+// cascade, into the ready set, out to fire), so a move must be cheap. For a
+// trivially copyable inline capture — every `[this, idx…]` closure — a move
+// copies the buffer's bytes and destruction is a no-op; the ops table holds
+// null instead of a relocate/destroy function, so neither costs an
+// indirect call. Other inline captures keep their move constructor and
+// destructor, and a heap cell moves by copying its pointer.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -65,7 +74,10 @@ class EventFn {
  private:
   struct Ops {
     void (*call)(void*);
-    void (*relocate)(void* dst, void* src);  // move-construct dst, destroy src
+    // Move-construct dst from src and destroy src; null when copying the
+    // buffer's bytes is the whole move.
+    void (*relocate)(void* dst, void* src);
+    // Null when the capture needs no destructor call.
     void (*destroy)(void*);
     bool inline_storage;
   };
@@ -73,33 +85,39 @@ class EventFn {
   template <typename D>
   static constexpr Ops kInlineOps{
       [](void* p) { (*static_cast<D*>(p))(); },
-      [](void* dst, void* src) {
-        auto* s = static_cast<D*>(src);
-        ::new (dst) D(std::move(*s));
-        s->~D();
-      },
-      [](void* p) { static_cast<D*>(p)->~D(); },
+      std::is_trivially_copyable_v<D>
+          ? nullptr
+          : +[](void* dst, void* src) {
+              auto* s = static_cast<D*>(src);
+              ::new (dst) D(std::move(*s));
+              s->~D();
+            },
+      std::is_trivially_destructible_v<D>
+          ? nullptr
+          : +[](void* p) { static_cast<D*>(p)->~D(); },
       true};
 
   template <typename D>
   static constexpr Ops kHeapOps{
       [](void* p) { (**reinterpret_cast<D**>(p))(); },
-      [](void* dst, void* src) {
-        *reinterpret_cast<D**>(dst) = *reinterpret_cast<D**>(src);
-      },
+      nullptr,  // the buffer holds only the cell's pointer
       [](void* p) { delete *reinterpret_cast<D**>(p); },
       false};
 
   void steal(EventFn& other) noexcept {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
-      ops_->relocate(buf_, other.buf_);
+      if (ops_->relocate != nullptr) {
+        ops_->relocate(buf_, other.buf_);
+      } else {
+        std::memcpy(buf_, other.buf_, kInlineBytes);
+      }
       other.ops_ = nullptr;
     }
   }
   void reset() noexcept {
     if (ops_ != nullptr) {
-      ops_->destroy(buf_);
+      if (ops_->destroy != nullptr) ops_->destroy(buf_);
       ops_ = nullptr;
     }
   }

@@ -89,10 +89,11 @@ TEST(Distributed, KilledWorkerTrialReassignedByteIdentical) {
   CampaignConfig cfg = tiny_campaign(6);
   cfg.manifest_path = temp_manifest("distrib_kill");
   DistributedOptions opts = fast_options(6, 2);
-  // The coordinator SIGKILLs worker 0 after two results land. At that
-  // moment at least four trials are still unfinished, so the kill is
-  // guaranteed to cost a trial: either one in flight on worker 0, or the
-  // next assignment hitting its dead pipe — both reassign.
+  // The coordinator SIGKILLs worker 0 once two results have landed and it
+  // holds a trial, and declares it dead on the spot. At least three trials
+  // are unfinished then, and worker 1 takes no new one while worker 0 is
+  // still starting, so worker 0 is sure to hold one; that trial is
+  // reassigned even if the worker wrote its result just before the kill.
   opts.kill_worker_after = 2;
   opts.max_trial_attempts = 4;
   opts.max_worker_restarts = 1;

@@ -12,6 +12,9 @@
 #include <array>
 #include <cstdint>
 #include <iterator>
+#include <limits>
+#include <memory>
+#include <type_traits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,7 +54,7 @@ class Lockstep {
  public:
   void push(SimTime when) {
     const Entry e{when, next_seq_++};
-    wheel_.push(e);
+    wheel_.push(Entry{e});
     ref_.push(e);
   }
 
@@ -101,7 +104,13 @@ class Lockstep {
   PopLog ref_log_;
 };
 
-constexpr std::int64_t kTickNs = std::int64_t{1} << detail::TimingWheel<Entry>::kTickBits;
+using Wheel = detail::TimingWheel<Entry>;
+constexpr std::int64_t kTickNs = std::int64_t{1} << Wheel::kTickBits;
+
+// Width of one bucket at wheel level `level`.
+constexpr std::int64_t level_width(int level) {
+  return std::int64_t{1} << (Wheel::kTickBits + level * Wheel::kBucketBits);
+}
 
 // One adversarial program: 400 entries over 50 ms, same-instant clusters on
 // tick and coarser bucket edges, far-future entries up to SimTime::max(),
@@ -196,6 +205,133 @@ TEST(SchedulerDifferential, WheelMatchesHeapAtFleetDepth) {
   EXPECT_EQ(q.wheel_size(), kDepth);
   while (!q.empty()) q.pop();
   EXPECT_EQ(q.divergence(), "");
+}
+
+// Sparse queue across every level: at most 48 entries pending (under the
+// wheel's kDrainMax), each push a delay drawn for one of levels 0..7 —
+// sometimes landing exactly on that level's next bucket edge — so the
+// earliest bucket is by turns a level-1..7 bucket holding the whole window
+// below it, and each window is drained into the ready heap in one step.
+// Then the top of the range, where the window end would overflow int64 and
+// the wheel must cascade instead: the last level-7 and level-8 buckets,
+// SimTime::max() and pushes at the instant just popped up there.
+void sparse_program(Lockstep& q, std::uint64_t seed) {
+  Lcg rng{seed};
+  q.push(SimTime::zero());
+  for (int step = 0; step < 20'000 && !q.empty(); ++step) {
+    const SimTime now = q.pop();
+    if (now.ns() >= (std::int64_t{1} << 62)) continue;
+    const std::size_t want = 1 + rng.below(48);
+    while (q.size() < want) {
+      // Skewed to low levels, and short multiples at levels 6 and 7, so the
+      // clock climbs slowly enough for thousands of rounds.
+      const int level = static_cast<int>(std::min(rng.below(8), rng.below(8)));
+      const std::int64_t w = level_width(level);
+      const std::uint64_t span = level >= 6 ? 2 : 63;
+      std::int64_t when = now.ns() + w * static_cast<std::int64_t>(1 + rng.below(span)) +
+                          static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(w)));
+      if (rng.below(4) == 0) when = (when / w) * w;  // a bucket edge at that level
+      q.push(SimTime(when));
+    }
+  }
+  while (!q.empty()) q.pop();
+
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t last7 = kMax - level_width(7) + 1;  // last level-7 bucket
+  const std::int64_t last8 = kMax - level_width(8) + 1;  // last level-8 bucket
+  for (const std::int64_t t : {std::int64_t{1} << 62, last8 - 1, last8, last8 + 5, last7 - 1,
+                               last7, last7, last7 + kTickNs, kMax - 1, kMax, kMax})
+    q.push(SimTime(t));
+  while (!q.empty()) {
+    const SimTime now = q.pop();
+    if (now.ns() >= last7 && rng.below(2) == 0) {
+      q.push(now);
+      if (now.ns() < kMax) q.push(SimTime::max());
+    }
+  }
+}
+
+TEST(SchedulerDifferential, SparseWindowDrainsMatchHeapAtEveryLevel) {
+  for (const std::uint64_t seed : {3ULL, 99ULL, 0xC0FFEEULL}) {
+    Lockstep q;
+    sparse_program(q, seed);
+    ASSERT_GT(q.popped(), 20'000u);
+    EXPECT_EQ(q.divergence(), "") << "seed " << seed;
+  }
+}
+
+// Swings the pending count across kDrainMax many times: each round crowds
+// 40..119 instants (some pushed four times) into one bucket of a level 1..4
+// ahead of the clock, so its window is by turns drained whole or cascaded,
+// then pops it back down to a handful with near-future pushes in between.
+TEST(SchedulerDifferential, SwingsAcrossDrainLimitMatchHeap) {
+  Lcg rng{0x5A1AULL};
+  Lockstep q;
+  SimTime now = SimTime::zero();
+  int crowded = 0;
+  for (int round = 0; round < 60; ++round) {
+    const std::int64_t w = level_width(1 + static_cast<int>(rng.below(4)));
+    const std::int64_t base = (now.ns() / w + 1 + static_cast<std::int64_t>(rng.below(3))) * w;
+    for (std::uint64_t i = 40 + rng.below(80); i > 0; --i) {
+      const SimTime at(base +
+                       static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(w))));
+      for (std::uint64_t k = rng.below(8) == 0 ? 4 : 1; k > 0; --k) q.push(at);
+    }
+    if (q.size() > Wheel::kDrainMax) ++crowded;
+    const std::size_t floor = 1 + rng.below(8);
+    while (q.size() > floor) {
+      now = q.pop();
+      if (rng.below(3) == 0)
+        q.push(now + Duration(static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(w)))));
+    }
+  }
+  while (!q.empty()) q.pop();
+  EXPECT_GT(crowded, 20);
+  EXPECT_LT(crowded, 60);
+  EXPECT_EQ(q.divergence(), "");
+}
+
+// Pushes that land on the edges of a window the wheel may just have
+// drained: for a random level 1..7, the end E of that level's bucket
+// holding the clock, at E - 1 ns, exactly at E, as same-instant clusters
+// (at the clock, E - 1 or E), and anywhere inside the window.
+TEST(SchedulerDifferential, PushesIntoDrainedWindowMatchHeap) {
+  for (const std::uint64_t seed : {11ULL, 4242ULL}) {
+    Lcg rng{seed};
+    Lockstep q;
+    for (int i = 0; i < 30; ++i)
+      q.push(SimTime(level_width(1 + static_cast<int>(rng.below(5))) *
+                     static_cast<std::int64_t>(1 + rng.below(63))));
+    for (int step = 0; step < 30'000 && !q.empty(); ++step) {
+      const SimTime now = q.pop();
+      if (now.ns() >= (std::int64_t{1} << 60) || q.size() >= 60) continue;
+      const std::int64_t w = level_width(1 + static_cast<int>(rng.below(7)));
+      const std::int64_t end = (now.ns() / w + 1) * w;
+      for (std::uint64_t j = 1 + rng.below(2); j > 0; --j) {
+        switch (rng.below(4)) {
+          case 0:
+            q.push(SimTime(end - 1));
+            break;
+          case 1:
+            q.push(SimTime(end));
+            break;
+          case 2: {
+            const std::int64_t at[] = {now.ns(), end - 1, end};
+            const SimTime t(at[rng.below(3)]);
+            for (std::uint64_t k = 2 + rng.below(6); k > 0; --k) q.push(t);
+            break;
+          }
+          default:
+            q.push(SimTime(now.ns() + static_cast<std::int64_t>(
+                                          rng.below(static_cast<std::uint64_t>(end - now.ns())))));
+            break;
+        }
+      }
+    }
+    while (!q.empty()) q.pop();
+    ASSERT_GE(q.popped(), 30'000u);
+    EXPECT_EQ(q.divergence(), "") << "seed " << seed;
+  }
 }
 
 // A budget-truncated run resumed mid-bucket must keep the
@@ -344,15 +480,99 @@ TEST(EventFnTest, SmallCapturesStayInline) {
   EXPECT_EQ(hits, 2);
 }
 
+// A capture over the inline budget takes one heap cell: moves pass the
+// cell along, and it is freed exactly once.
 TEST(EventFnTest, LargeCapturesFallBackToHeap) {
+  auto token = std::make_shared<int>(1);
   std::array<std::uint64_t, 16> big{};
-  big[0] = 41;
+  big[0] = 40;
   int out = 0;
-  EventFn fn([big, &out] { out = static_cast<int>(big[0]) + 1; });
-  EXPECT_FALSE(fn.is_inline());
-  EventFn moved = std::move(fn);
-  moved();
-  EXPECT_EQ(out, 42);
+  {
+    EventFn fn([big, token, &out] { out = static_cast<int>(big[0]) + 1 + *token; });
+    EXPECT_FALSE(fn.is_inline());
+    EventFn moved = std::move(fn);
+    EventFn assigned;
+    assigned = std::move(moved);
+    EXPECT_FALSE(assigned.is_inline());
+    EXPECT_EQ(token.use_count(), 2);
+    assigned();
+    EXPECT_EQ(out, 42);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+// A `[this, idx]`-style capture is trivially copyable, so EventFn moves it
+// by copying bytes. Chains of moves — construction, vector growth, move
+// assignment over a live callable — must keep every callable intact and
+// calling its own closure.
+TEST(EventFnTest, TriviallyCopyableCaptureSurvivesMoveChains) {
+  struct Recorder {
+    std::vector<int> calls;
+  } rec;
+  Recorder* self = &rec;
+  const auto make = [self](int i) {
+    return [self, i, tag = std::uint64_t{0x5EED} * static_cast<std::uint64_t>(i)] {
+      self->calls.push_back(tag == std::uint64_t{0x5EED} * static_cast<std::uint64_t>(i) ? i : -1);
+    };
+  };
+  static_assert(std::is_trivially_copyable_v<decltype(make(0))>);
+
+  std::vector<EventFn> fns;
+  for (int i = 0; i < 100; ++i) fns.emplace_back(make(i));  // growth moves them all
+  for (const EventFn& fn : fns) EXPECT_TRUE(fn.is_inline());
+  std::reverse(fns.begin(), fns.end());                    // swaps: three moves each
+  EventFn held = std::move(fns[0]);                        // i = 99
+  fns[0] = std::move(fns[1]);                              // i = 98 over a moved-from
+  fns[1] = make(1000);                                     // over a moved-from
+  fns[2] = make(2000);                                     // over a live i = 97
+  for (EventFn& fn : fns) fn();
+  held();
+
+  std::vector<int> expected{98, 1000, 2000};
+  for (int i = 96; i >= 0; --i) expected.push_back(i);
+  expected.push_back(99);
+  EXPECT_EQ(rec.calls, expected);
+}
+
+// A non-trivial inline capture keeps its own move constructor and
+// destructor: however often it moves, exactly one live copy is destroyed,
+// and a captured shared_ptr is released exactly once.
+TEST(EventFnTest, NonTrivialInlineCaptureDestroyedExactlyOnce) {
+  struct Counted {
+    int* destroyed;
+    bool owner = true;
+    explicit Counted(int* d) : destroyed(d) {}
+    Counted(Counted&& o) noexcept : destroyed(o.destroyed) { o.owner = false; }
+    Counted(const Counted&) = delete;
+    ~Counted() {
+      if (owner) ++*destroyed;
+    }
+  };
+  int destroyed = 0;
+  int calls = 0;
+  auto token = std::make_shared<int>(7);
+  {
+    auto closure = [c = Counted(&destroyed), token, &calls] { calls += *token; };
+    static_assert(!std::is_trivially_copyable_v<decltype(closure)>);
+    EventFn fn(std::move(closure));
+    EXPECT_TRUE(fn.is_inline());
+    EXPECT_EQ(token.use_count(), 2);
+    EventFn a = std::move(fn);
+    EventFn b;
+    b = std::move(a);
+    std::vector<EventFn> v;
+    v.push_back(std::move(b));
+    v.reserve(64);  // relocates through the move constructor
+    v[0]();
+    EXPECT_EQ(calls, 7);
+    EXPECT_EQ(destroyed, 0);
+    EXPECT_EQ(token.use_count(), 2);
+    v[0] = EventFn([] {});  // destroys the live capture
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_EQ(token.use_count(), 1);
+  }
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 // The EventCtl pool: after a warm-up burst, handle-ful scheduling recycles
