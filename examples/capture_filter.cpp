@@ -3,11 +3,14 @@
 // interrogate it with display filters (fragment isolation, flow selection,
 // size cuts).
 //
-// Usage: capture_filter [clip-id] [display-filter]
-//   capture_filter set1/M-h "ip.frag_offset > 0"
-// With no filter argument, a tour of useful filters runs.
+// Usage: capture_filter [clip-id] [display-filter] [-w capture.pcap]
+//   capture_filter set1/M-h "ip.frag_offset > 0" -w /path/to/out.pcap
+// With no filter argument, a tour of useful filters runs. The capture goes to
+// the -w path, default streamlab_<set>.pcap in the current directory.
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/study.hpp"
@@ -36,7 +39,16 @@ void apply_filter(const std::vector<DissectedPacket>& packets, const std::string
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string clip_id = argc > 1 ? argv[1] : "set1/M-h";
+  std::vector<std::string> positional;
+  std::string path;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "-w") == 0 && i + 1 < argc) {
+      path = argv[++i];
+    } else {
+      positional.push_back(argv[i]);
+    }
+  }
+  const std::string clip_id = !positional.empty() ? positional[0] : "set1/M-h";
   const auto clip = find_clip(clip_id);
   if (!clip) {
     std::fprintf(stderr, "unknown clip id '%s'\n", clip_id.c_str());
@@ -54,7 +66,7 @@ int main(int argc, char** argv) {
   const ClipRunResult run = run_single_clip(*clip, config);
 
   // Write and re-read a real pcap file, as Ethereal would save it.
-  const std::string path = "/tmp/streamlab_" + std::to_string(clip->data_set) + ".pcap";
+  if (path.empty()) path = "streamlab_" + std::to_string(clip->data_set) + ".pcap";
   if (!run.capture || !write_pcap_file(path, *run.capture)) {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());
     return 1;
@@ -71,8 +83,8 @@ int main(int argc, char** argv) {
 
   const auto packets = dissect_trace(*loaded);
 
-  if (argc > 2) {
-    apply_filter(packets, argv[2]);
+  if (positional.size() > 1) {
+    apply_filter(packets, positional[1]);
     return 0;
   }
 

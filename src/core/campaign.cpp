@@ -1,9 +1,10 @@
 #include "core/campaign.hpp"
 
+#include <array>
 #include <atomic>
 #include <bit>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
@@ -12,6 +13,7 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <system_error>
 #include <thread>
 #include <vector>
@@ -26,42 +28,32 @@ namespace {
 
 struct Digester {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
+
+  /// Folds each value's 64-bit image: integers, flags and enums as is,
+  /// doubles by bit pattern, durations, times and rates by their raw count.
+  template <typename... Ts>
+  void add(const Ts&... values) {
+    (fold(image(values)), ...);
+  }
+
+ private:
+  static std::uint64_t image(Duration v) { return v.ns(); }
+  static std::uint64_t image(SimTime v) { return v.ns(); }
+  static std::uint64_t image(BitRate v) { return v.bits_per_second(); }
+  static std::uint64_t image(double v) { return std::bit_cast<std::uint64_t>(v); }
+  template <typename T>
+  static std::uint64_t image(T v) { return static_cast<std::uint64_t>(v); }
+  void fold(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i, v >>= 8) {
+      h ^= v & 0xff;
       h *= 0x100000001b3ull;
     }
   }
-  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-  void i64(std::int64_t v) { bytes(&v, sizeof v); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
 };
-
-void fold_episode(Digester& d, const FaultEpisode& e) {
-  d.u64(static_cast<std::uint64_t>(e.kind));
-  d.i64(e.router_index);
-  d.u64(e.detour ? 1 : 0);
-  d.i64(e.start.ns());
-  d.i64(e.duration.ns());
-  d.i64(e.bandwidth.bits_per_second());
-  d.i64(e.extra_delay.ns());
-  d.f64(e.loss_probability);
-  d.f64(e.gilbert.p_good_to_bad);
-  d.f64(e.gilbert.p_bad_to_good);
-  d.f64(e.gilbert.loss_good);
-  d.f64(e.gilbert.loss_bad);
-}
 
 // --- NDJSON helpers (hand-rolled: the repo carries no JSON dependency) ---
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
+void append_escaped(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -73,57 +65,86 @@ std::string json_escape(const std::string& s) {
         out += (static_cast<unsigned char>(c) < 0x20) ? ' ' : c;
     }
   }
-  return out;
 }
 
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+/// `v` as 16 lower-case hex digits, NUL-terminated.
+std::array<char, 17> hex64(std::uint64_t v) {
+  std::array<char, 17> buf;
+  std::snprintf(buf.data(), buf.size(), "%016llx", static_cast<unsigned long long>(v));
   return buf;
 }
 
-/// Value of `"key":` in a one-line JSON object: unescaped content for
-/// strings, the raw token for numbers. nullopt when the key is absent.
-std::optional<std::string> json_value(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  pos += needle.size();
-  while (pos < line.size() && line[pos] == ' ') ++pos;
-  if (pos >= line.size()) return std::nullopt;
-  if (line[pos] == '"') {
-    std::string out;
-    for (++pos; pos < line.size() && line[pos] != '"'; ++pos) {
-      char c = line[pos];
-      if (c == '\\' && pos + 1 < line.size()) {
-        c = line[++pos];
-        if (c == 'n') c = '\n';
-        else if (c == 'r') c = '\r';
-        else if (c == 't') c = '\t';
-      }
-      out += c;
+/// Appends `"key":`, after a separating comma unless the object just opened.
+void append_key(std::string& out, std::string_view key) {
+  if (out.back() != '{') out += ',';
+  out += '"';
+  out += key;
+  out += "\":";
+}
+
+template <typename T>
+void append_number(std::string& out, std::string_view key, T v) {
+  append_key(out, key);
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void append_string(std::string& out, std::string_view key, std::string_view v) {
+  append_key(out, key);
+  out += '"';
+  append_escaped(out, v);
+  out += '"';
+}
+
+/// Value of `"key":` in a one-line JSON object: a string's content between
+/// its quotes (still escaped), or a number's token. Throws when the key is
+/// absent, the value is of the other kind, or a string is cut off.
+std::string_view json_value(std::string_view line, std::string_view key, bool quoted) {
+  std::size_t at = line.find(key);
+  while (at != std::string_view::npos &&
+         (at == 0 || line[at - 1] != '"' || line.substr(at + key.size(), 2) != "\":"))
+    at = line.find(key, at + 1);
+  if (at == std::string_view::npos)
+    throw std::runtime_error("missing \"" + std::string(key) + "\"");
+  at += key.size() + 2;
+  if (!quoted) return line.substr(at, line.find_first_of(",}", at) - at);
+  std::size_t end = at + 1;
+  while (end < line.size() && line[end] != '"') end += line[end] == '\\' ? 2 : 1;
+  if (line[at] != '"' || end >= line.size())
+    throw std::runtime_error("\"" + std::string(key) + "\" is not a string");
+  return line.substr(at + 1, end - at - 1);
+}
+
+/// Unescaped content of a string value.
+std::string json_text(std::string_view line, std::string_view key) {
+  const std::string_view v = json_value(line, key, true);
+  std::string out;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    char c = v[i];
+    if (c == '\\') {
+      c = v[++i];
+      if (c == 'n') c = '\n';
+      else if (c == 'r') c = '\r';
+      else if (c == 't') c = '\t';
     }
-    return out;
+    out += c;
   }
-  const std::size_t end = line.find_first_of(",}", pos);
-  if (end == std::string::npos) return std::nullopt;
-  std::string out = line.substr(pos, end - pos);
-  while (!out.empty() && out.back() == ' ') out.pop_back();
   return out;
 }
 
-std::uint64_t json_u64(const std::string& line, const std::string& key,
-                       std::uint64_t fallback = 0) {
-  const auto v = json_value(line, key);
-  if (!v || v->empty()) return fallback;
-  return std::stoull(*v);
-}
-
-std::int64_t json_i64(const std::string& line, const std::string& key,
-                      std::int64_t fallback = 0) {
-  const auto v = json_value(line, key);
-  if (!v || v->empty()) return fallback;
-  return std::stoll(*v);
+/// A number that is wholly a decimal in T's range — no sign on an unsigned
+/// T, no trailing bytes, no overflow — or, with base 16, a string of hex
+/// digits.
+template <typename T>
+T json_number(std::string_view line, std::string_view key, int base = 10) {
+  const std::string_view digits = json_value(line, key, base == 16);
+  const char* end = digits.data() + digits.size();
+  T v{};
+  const auto [stop, ec] = std::from_chars(digits.data(), end, v, base);
+  if (digits.empty() || ec != std::errc() || stop != end)
+    throw std::runtime_error("bad number for \"" + std::string(key) + "\": '" +
+                             std::string(digits) + "'");
+  return v;
 }
 
 }  // namespace
@@ -131,126 +152,88 @@ std::int64_t json_i64(const std::string& line, const std::string& key,
 namespace campaign_detail {
 
 std::string config_hex(const CampaignConfig& config) {
-  return hex64(campaign_config_digest(config));
+  return hex64(campaign_config_digest(config)).data();
 }
 
 std::string manifest_line(const TrialOutcome& t, const std::string& config_hex) {
-  std::string line = "{";
-  const auto num = [&line](const char* key, std::uint64_t v) {
-    line += "\"" + std::string(key) + "\":" + std::to_string(v) + ",";
-  };
-  num("trial", t.index);
-  num("seed", t.seed);
-  line += "\"config\":\"" + config_hex + "\",";
-  line += "\"status\":\"" + std::string(to_string(t.status)) + "\",";
-  line += "\"reason\":\"" + json_escape(t.reason) + "\",";
-  num("checks", t.checks);
-  num("violations", t.violations);
-  num("sim_events", t.sim_events);
-  num("budget_exhausted", t.budget_exhausted ? 1 : 0);
-  line += "\"digest\":\"" + hex64(t.digest) + "\",";
-  line += "\"divergence\":" +
-          std::to_string(t.divergence ? static_cast<std::int64_t>(*t.divergence) : -1) +
-          ",";
-  num("sessions", t.sessions);
-  num("sessions_completed", t.sessions_completed);
-  num("sessions_failed", t.sessions_failed);
-  num("frames_rendered", t.frames_rendered);
-  num("frames_dropped", t.frames_dropped);
-  num("packets_received", t.packets_received);
-  num("packets_lost", t.packets_lost);
-  num("rebuffers", t.rebuffer_events);
-  num("reroutes", t.reroutes);
-  num("route_restores", t.route_restores);
-  num("failovers", t.failovers);
-  num("packets_recovered", t.packets_recovered);
-  num("nacks_sent", t.nacks_sent);
-  num("retx_sent", t.retransmissions_sent);
-  num("parity_packets", t.parity_packets);
-  num("path_switches", t.path_switches);
-  num("nacks_suppressed", t.nack_suppressed);
-  line += "\"router_down_stall_ns\":" + std::to_string(t.router_down_stall.ns()) + ",";
-  line += "\"stall_ns\":" + std::to_string(t.stall_time.ns());
+  const std::string telemetry =
+      t.telemetry && !t.telemetry->empty() ? t.telemetry->serialize() : std::string();
+  std::string line;
+  line.reserve(640 + t.reason.size() + t.stderr_tail.size() + telemetry.size());
+  line += '{';
+  append_number(line, "trial", t.index);
+  append_number(line, "seed", t.seed);
+  append_string(line, "config", config_hex);
+  append_string(line, "status", to_string(t.status));
+  append_string(line, "reason", t.reason);
+  append_number(line, "checks", t.checks);
+  append_number(line, "violations", t.violations);
+  append_number(line, "sim_events", t.sim_events);
+  append_number(line, "budget_exhausted", t.budget_exhausted ? 1 : 0);
+  append_string(line, "digest", hex64(t.digest).data());
+  append_number(line, "divergence",
+                t.divergence ? static_cast<std::int64_t>(*t.divergence) : std::int64_t{-1});
+  for (const TrialMetricField& f : trial_metric_fields()) {
+    if (f.count != nullptr) append_number(line, f.key, t.*f.count);
+    else append_number(line, f.key, (t.*f.span).ns());
+  }
   if (t.status == TrialStatus::kQuarantined) {
     // Worker post-mortem evidence rides quarantined records only: completed
     // lines must stay byte-identical with the serial path no matter how
     // many process-worker reassignments the trial survived.
-    line += ",\"attempts\":" + std::to_string(t.attempts);
-    line += ",\"worker_exit_status\":" + std::to_string(t.worker_exit_status);
-    line += ",\"stderr_tail\":\"" + json_escape(t.stderr_tail) + "\"";
+    append_number(line, "attempts", t.attempts);
+    append_number(line, "worker_exit_status", t.worker_exit_status);
+    append_string(line, "stderr_tail", t.stderr_tail);
   }
-  // Optional trailing field so manifests from pre-telemetry builds (and
-  // collect_telemetry=false runs) parse identically.
-  if (t.telemetry && !t.telemetry->empty())
-    line += ",\"telemetry\":\"" + json_escape(t.telemetry->serialize()) + "\"";
-  line += "}";
+  // Optional trailing field, absent for collect_telemetry=false runs.
+  if (!telemetry.empty()) append_string(line, "telemetry", telemetry);
+  line += '}';
   return line;
 }
 
 TrialOutcome parse_manifest_line(const std::string& line, const std::string& config_hex,
-                                 std::size_t line_no) {
-  const auto fail = [line_no](const std::string& why) {
-    throw std::runtime_error("resume manifest line " + std::to_string(line_no) + ": " +
-                             why);
-  };
-  const auto config = json_value(line, "config");
-  if (!config) fail("missing config digest");
-  if (*config != config_hex)
-    fail("config digest mismatch (manifest " + *config + ", campaign " + config_hex +
-         "): refusing to mix trials from different configurations");
-  const auto status = json_value(line, "status");
-  if (!status) fail("missing status");
+                                 std::size_t line_no) try {
+  if (line.empty() || line.front() != '{' || line.back() != '}')
+    throw std::runtime_error("not a one-line JSON object");
+  if (const std::string config = json_text(line, "config"); config != config_hex)
+    throw std::runtime_error("config digest mismatch (manifest " + config + ", campaign " +
+                             config_hex +
+                             "): refusing to mix trials from different configurations");
 
   TrialOutcome t;
-  t.index = json_u64(line, "trial");
-  t.seed = json_u64(line, "seed");
-  if (*status == to_string(TrialStatus::kCompleted)) {
-    t.status = TrialStatus::kCompleted;
-  } else if (*status == to_string(TrialStatus::kQuarantined)) {
-    t.status = TrialStatus::kQuarantined;
-  } else {
-    fail("unknown status '" + *status + "'");
-  }
-  t.reason = json_value(line, "reason").value_or("");
-  t.checks = json_u64(line, "checks");
-  t.violations = json_u64(line, "violations");
-  t.sim_events = json_u64(line, "sim_events");
-  t.budget_exhausted = json_u64(line, "budget_exhausted") != 0;
-  if (const auto digest = json_value(line, "digest"); digest && !digest->empty())
-    t.digest = std::stoull(*digest, nullptr, 16);
-  if (const std::int64_t div = json_i64(line, "divergence", -1); div >= 0)
-    t.divergence = static_cast<std::uint64_t>(div);
   t.from_manifest = true;
-  t.sessions = json_u64(line, "sessions");
-  t.sessions_completed = json_u64(line, "sessions_completed");
-  t.sessions_failed = json_u64(line, "sessions_failed");
-  t.frames_rendered = json_u64(line, "frames_rendered");
-  t.frames_dropped = json_u64(line, "frames_dropped");
-  t.packets_received = json_u64(line, "packets_received");
-  t.packets_lost = json_u64(line, "packets_lost");
-  t.rebuffer_events = json_u64(line, "rebuffers");
-  t.reroutes = json_u64(line, "reroutes");
-  t.route_restores = json_u64(line, "route_restores");
-  t.failovers = json_u64(line, "failovers");
-  t.packets_recovered = json_u64(line, "packets_recovered");
-  t.nacks_sent = json_u64(line, "nacks_sent");
-  t.retransmissions_sent = json_u64(line, "retx_sent");
-  t.parity_packets = json_u64(line, "parity_packets");
-  t.path_switches = json_u64(line, "path_switches");
-  t.nack_suppressed = json_u64(line, "nacks_suppressed");
-  t.router_down_stall = Duration::nanos(json_i64(line, "router_down_stall_ns"));
-  t.stall_time = Duration::nanos(json_i64(line, "stall_ns"));
-  if (t.status == TrialStatus::kQuarantined) {
-    t.attempts = static_cast<std::uint32_t>(json_u64(line, "attempts"));
-    t.worker_exit_status = static_cast<int>(json_i64(line, "worker_exit_status"));
-    t.stderr_tail = json_value(line, "stderr_tail").value_or("");
+  t.index = json_number<std::size_t>(line, "trial");
+  t.seed = json_number<std::uint64_t>(line, "seed");
+  const std::string status = json_text(line, "status");
+  t.status = status == "quarantined" ? TrialStatus::kQuarantined : TrialStatus::kCompleted;
+  if (status != to_string(t.status)) throw std::runtime_error("unknown status '" + status + "'");
+  t.reason = json_text(line, "reason");
+  t.checks = json_number<std::uint64_t>(line, "checks");
+  t.violations = json_number<std::uint64_t>(line, "violations");
+  t.sim_events = json_number<std::uint64_t>(line, "sim_events");
+  t.budget_exhausted = json_number<std::uint64_t>(line, "budget_exhausted") != 0;
+  t.digest = json_number<std::uint64_t>(line, "digest", 16);
+  if (const auto div = json_number<std::int64_t>(line, "divergence"); div >= 0)
+    t.divergence = static_cast<std::uint64_t>(div);
+  else if (div != -1)
+    throw std::runtime_error("bad number for \"divergence\": " + std::to_string(div));
+  for (const TrialMetricField& f : trial_metric_fields()) {
+    if (f.count != nullptr) t.*f.count = json_number<std::uint64_t>(line, f.key);
+    else t.*f.span = Duration::nanos(json_number<std::int64_t>(line, f.key));
   }
-  if (const auto telemetry = json_value(line, "telemetry"); telemetry && !telemetry->empty()) {
-    auto parsed = obs::TrialTelemetry::parse(*telemetry);
-    if (!parsed) fail("unparseable telemetry snapshot");
+  if (t.status == TrialStatus::kQuarantined) {
+    t.attempts = json_number<std::uint32_t>(line, "attempts");
+    t.worker_exit_status = json_number<int>(line, "worker_exit_status");
+    t.stderr_tail = json_text(line, "stderr_tail");
+  }
+  if (line.find("\"telemetry\":") != std::string::npos) {
+    auto parsed = obs::TrialTelemetry::parse(json_text(line, "telemetry"));
+    if (!parsed) throw std::runtime_error("unparseable telemetry snapshot");
     t.telemetry = std::move(*parsed);
   }
   return t;
+} catch (const std::runtime_error& e) {
+  throw std::runtime_error("resume manifest line " + std::to_string(line_no) + ": " + e.what());
 }
 
 }  // namespace campaign_detail
@@ -259,32 +242,16 @@ namespace {
 
 // --- Trial execution ---
 
-/// Copies the per-session metrics a manifest line can carry (and the
-/// aggregate folds) out of the full run result.
+/// Sums the trial's TrialMetrics out of the full run result.
 void fill_salvage(TrialOutcome& t) {
   if (!t.result) return;
-  const auto fold_session = [&t](const std::optional<SessionRecoveryMetrics>& m) {
-    if (!m) return;
+  for (const auto* session : {&t.result->real, &t.result->media}) {
+    if (!*session) continue;
+    const SessionRecoveryMetrics& m = **session;
     ++t.sessions;
-    if (m->completed) ++t.sessions_completed;
-    if (m->session_failed()) ++t.sessions_failed;
-    t.frames_rendered += m->frames_rendered;
-    t.frames_dropped += m->frames_dropped;
-    t.packets_received += m->packets_received;
-    t.packets_lost += m->packets_lost;
-    t.rebuffer_events += m->rebuffer_events;
-    t.stall_time = t.stall_time + m->stall_time;
-    t.failovers += m->failovers;
-    t.router_down_stall = t.router_down_stall + m->stall_during_router_down;
-    t.packets_recovered += m->packets_recovered;
-    t.nacks_sent += m->nacks_sent;
-    t.retransmissions_sent += m->retransmissions_sent;
-    t.parity_packets += m->parity_packets;
-    t.path_switches += m->path_switches;
-    t.nack_suppressed += m->nack_suppressed;
-  };
-  fold_session(t.result->real);
-  fold_session(t.result->media);
+    for (const TrialMetricField& f : trial_metric_fields())
+      if (f.from_session != nullptr) f.add(t, f.from_session(m));
+  }
   t.reroutes = t.result->reroutes;
   t.route_restores = t.result->route_restores;
 }
@@ -601,25 +568,7 @@ const char* to_string(TrialStatus status) {
 
 void CampaignAggregate::fold(const TrialOutcome& trial) {
   ++trials;
-  sessions += trial.sessions;
-  sessions_completed += trial.sessions_completed;
-  sessions_failed += trial.sessions_failed;
-  frames_rendered += trial.frames_rendered;
-  frames_dropped += trial.frames_dropped;
-  packets_received += trial.packets_received;
-  packets_lost += trial.packets_lost;
-  rebuffer_events += trial.rebuffer_events;
-  stall_time = stall_time + trial.stall_time;
-  reroutes += trial.reroutes;
-  route_restores += trial.route_restores;
-  failovers += trial.failovers;
-  router_down_stall = router_down_stall + trial.router_down_stall;
-  packets_recovered += trial.packets_recovered;
-  nacks_sent += trial.nacks_sent;
-  retransmissions_sent += trial.retransmissions_sent;
-  parity_packets += trial.parity_packets;
-  path_switches += trial.path_switches;
-  nack_suppressed += trial.nack_suppressed;
+  for (const TrialMetricField& f : trial_metric_fields()) f.add(*this, f.get(trial));
 }
 
 std::vector<std::uint64_t> CampaignResult::quarantined_seeds() const {
@@ -632,87 +581,55 @@ std::vector<std::uint64_t> CampaignResult::quarantined_seeds() const {
 std::uint64_t campaign_config_digest(const CampaignConfig& config) {
   Digester d;
   const ClipInfo& clip = config.clip;
-  d.i64(clip.data_set);
-  d.u64(static_cast<std::uint64_t>(clip.content));
-  d.u64(static_cast<std::uint64_t>(clip.player));
-  d.u64(static_cast<std::uint64_t>(clip.tier));
-  d.i64(clip.encoded_rate.bits_per_second());
-  d.i64(clip.advertised_rate.bits_per_second());
-  d.i64(clip.length.ns());
+  d.add(clip.data_set, clip.content, clip.player, clip.tier, clip.encoded_rate,
+        clip.advertised_rate, clip.length);
 
   const TurbulenceScenarioConfig& s = config.scenario;
-  d.i64(s.path.hop_count);
-  d.i64(s.path.access_bandwidth.bits_per_second());
-  d.i64(s.path.backbone_bandwidth.bits_per_second());
-  d.i64(s.path.bottleneck_bandwidth.bits_per_second());
-  d.i64(s.path.one_way_propagation.ns());
-  d.i64(s.path.jitter_stddev.ns());
-  d.f64(s.path.loss_probability);
-  d.u64(s.path.queue_limit_bytes);
-  // Self-healing topology/control-plane knobs: trials run with a different
-  // detour, repair policy or mirror setup are not comparable.
-  d.u64(s.path.detour ? 1 : 0);
-  if (s.path.detour) {
-    d.i64(s.path.detour->span_first);
-    d.i64(s.path.detour->span_last);
-    d.i64(s.path.detour->hops);
-    d.i64(s.path.detour->metric);
-  }
-  d.u64(s.repair ? 1 : 0);
-  if (s.repair) {
-    d.i64(s.repair->detection_delay.ns());
-    d.i64(s.repair->hold_down.ns());
-  }
-  d.i64(s.repair_span_first);
-  d.i64(s.repair_span_last);
-  d.u64(s.mirror_server ? 1 : 0);
-  d.i64(s.icmp_unreachable_threshold);
-  // Loss-repair policy: trials with different FEC/NACK/pacer parameters
-  // produce different wire traffic and are not comparable.
-  d.i64(s.repair_layer.fec_k);
-  d.i64(s.repair_layer.fec_stride);
-  d.u64(s.repair_layer.nack ? 1 : 0);
-  d.f64(s.repair_layer.nack_rtt_multiplier);
-  d.i64(s.repair_layer.nack_min_delay.ns());
-  d.i64(s.repair_layer.nack_max_delay.ns());
-  d.i64(s.repair_layer.nack_max_retries);
-  d.u64(s.repair_layer.retx_buffer_packets);
-  d.f64(s.repair_layer.pacer_rate_fraction);
-  d.u64(s.repair_layer.pacer_burst_bytes);
-  d.i64(s.repair_layer.nack_reorder_tolerance);
-  // Multipath striping policy: striped and single-path trials produce
-  // different wire traffic, as do different weights or health thresholds.
-  d.u64(s.multipath.enabled ? 1 : 0);
-  if (s.multipath.enabled) {
-    d.i64(s.multipath.primary_weight);
-    d.i64(s.multipath.detour_weight);
-    d.f64(s.multipath.loss_unhealthy);
-    d.f64(s.multipath.loss_healthy);
-    d.f64(s.multipath.ewma_alpha);
-    d.i64(s.multipath.strike_limit);
-    d.i64(s.multipath.report_interval.ns());
-    d.i64(s.multipath.hold_down.ns());
-    d.u64(s.multipath.join_buffer_packets);
-    d.i64(s.multipath.join_hold.ns());
-    d.i64(s.multipath.nack_reorder_tolerance);
-  }
-  d.u64(s.recovery.play_retry ? 1 : 0);
-  d.i64(s.recovery.play_timeout.ns());
-  d.f64(s.recovery.backoff);
-  d.i64(s.recovery.max_play_attempts);
-  d.i64(s.recovery.inactivity_timeout.ns());
-  d.u64(s.rebuffering ? 1 : 0);
-  d.i64(s.max_stall.ns());
-  d.u64(s.episodes.size());
-  for (const FaultEpisode& e : s.episodes) fold_episode(d, e);
-  d.i64(s.extra_sim_time.ns());
-  d.u64(s.max_sim_events);
-  d.i64(s.max_wall_time.count());
+  const PathConfig& path = s.path;
+  d.add(path.hop_count, path.access_bandwidth, path.backbone_bandwidth,
+        path.bottleneck_bandwidth, path.one_way_propagation, path.jitter_stddev,
+        path.loss_probability, path.queue_limit_bytes);
+  // Self-healing topology/control plane: detour, route repair, mirror.
+  d.add(path.detour.has_value());
+  if (path.detour)
+    d.add(path.detour->span_first, path.detour->span_last, path.detour->hops,
+          path.detour->metric);
+  d.add(s.repair.has_value());
+  if (s.repair) d.add(s.repair->detection_delay, s.repair->hold_down);
+  d.add(s.repair_span_first, s.repair_span_last, s.mirror_server, s.icmp_unreachable_threshold);
+  // Loss-repair policy: FEC/NACK/pacer parameters change the wire traffic.
+  const RepairLayerConfig& r = s.repair_layer;
+  d.add(r.fec_k, r.fec_stride, r.nack, r.nack_rtt_multiplier, r.nack_min_delay,
+        r.nack_max_delay, r.nack_max_retries, r.retx_buffer_packets, r.pacer_rate_fraction,
+        r.pacer_burst_bytes, r.nack_reorder_tolerance);
+  // Multipath striping policy; the alias addresses are wiring the run fills.
+  const MultipathConfig& mp = s.multipath;
+  d.add(mp.enabled);
+  if (mp.enabled)
+    d.add(mp.primary_weight, mp.detour_weight, mp.loss_unhealthy, mp.loss_healthy,
+          mp.ewma_alpha, mp.strike_limit, mp.report_interval, mp.hold_down,
+          mp.join_buffer_packets, mp.join_hold, mp.nack_reorder_tolerance);
+  // Player calibration (Sections 3.F and IV, Figure 11): WM frame groups
+  // and preroll, RM buffering ratio, startup burst and packet-size model.
+  const WmBehavior& wm = s.wm;
+  d.add(wm.frame_interval, wm.min_media_per_datagram, wm.preroll, wm.app_batch_interval);
+  const RmBehavior& rm = s.rm;
+  d.add(rm.ratio_at_low, rm.ratio_exponent, rm.ratio_floor, rm.burst_at_low, rm.burst_at_high,
+        rm.burst_max_fraction_of_clip, rm.preroll, rm.size_cv, rm.size_spread_min,
+        rm.size_spread_max, rm.max_media_per_datagram, rm.min_media_per_datagram,
+        rm.interarrival_cv);
+  const SessionRecoveryConfig& rc = s.recovery;
+  d.add(rc.play_retry, rc.play_timeout, rc.backoff, rc.max_play_attempts,
+        rc.inactivity_timeout, s.rebuffering, s.max_stall);
+  // Episode labels are report tags only.
+  d.add(s.episodes.size());
+  for (const FaultEpisode& e : s.episodes)
+    d.add(e.kind, e.router_index, e.detour, e.start, e.duration, e.bandwidth, e.extra_delay,
+          e.loss_probability, e.gilbert.p_good_to_bad, e.gilbert.p_bad_to_good,
+          e.gilbert.loss_good, e.gilbert.loss_bad);
+  d.add(s.extra_sim_time, s.max_sim_events, s.max_wall_time.count());
 
-  d.u64(config.trials);
-  d.u64(config.base_seed);
-  d.u64(config.verify_determinism ? 1 : 0);
-  d.u64(config.verify_seed_skew);
+  d.add(config.trials, config.base_seed, config.verify_determinism, config.verify_seed_skew);
   return d.h;
 }
 
@@ -727,7 +644,7 @@ std::size_t resolve_workers(const CampaignConfig& config, std::size_t pending) {
 }
 
 CampaignResult run_campaign(const CampaignConfig& config) {
-  const std::string config_hex = hex64(campaign_config_digest(config));
+  const std::string config_hex = campaign_detail::config_hex(config);
   const auto is_cancelled = [&config] {
     return config.cancel != nullptr && config.cancel->load(std::memory_order_relaxed);
   };

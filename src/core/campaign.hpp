@@ -38,7 +38,9 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/turbulence.hpp"
@@ -133,27 +135,10 @@ struct CampaignProgress {
 enum class TrialStatus : std::uint8_t { kCompleted, kQuarantined };
 const char* to_string(TrialStatus status);
 
-/// One trial's ledger entry — also the unit the resume manifest stores.
-struct TrialOutcome {
-  std::size_t index = 0;
-  std::uint64_t seed = 0;
-  TrialStatus status = TrialStatus::kCompleted;
-  std::string reason;        ///< quarantine cause; empty when completed
-  std::uint64_t checks = 0;  ///< audit checks performed
-  std::uint64_t violations = 0;
-  std::uint64_t sim_events = 0;
-  bool budget_exhausted = false;
-  std::uint64_t digest = 0;  ///< replay digest folded at the client NIC
-  /// Index of the first divergent event (verify-determinism mode only).
-  std::optional<std::uint64_t> divergence;
-  /// Restored from the resume manifest rather than run in this process.
-  bool from_manifest = false;
-  /// Full run metrics; absent when the trial threw before collection or was
-  /// restored from a manifest (whose lines keep only the aggregate fields).
-  std::optional<TurbulenceRunResult> result;
-
-  // Salvage fields folded into the study aggregate (survive the manifest
-  // round-trip, unlike `result`).
+/// Per-trial metrics summed over a trial's sessions, kept by the resume
+/// manifest and summed again into the study aggregate. Every member has one
+/// row in trial_metric_fields(); a new metric is a member here plus its row.
+struct TrialMetrics {
   std::uint64_t sessions = 0;
   std::uint64_t sessions_completed = 0;
   std::uint64_t sessions_failed = 0;
@@ -168,14 +153,99 @@ struct TrialOutcome {
   std::uint64_t failovers = 0;       ///< mirror failovers committed
   /// Stall time overlapping kRouterDown episode windows.
   Duration router_down_stall;
-  // Loss-repair salvage (zero when the repair layer is disabled).
-  std::uint64_t packets_recovered = 0;  ///< FEC + retransmission repairs
-  std::uint64_t nacks_sent = 0;         ///< client NACK messages
+  // Loss repair (zero when the repair layer is disabled).
+  std::uint64_t packets_recovered = 0;     ///< FEC + retransmission repairs
+  std::uint64_t nacks_sent = 0;            ///< client NACK messages
   std::uint64_t retransmissions_sent = 0;  ///< server retx answered
-  std::uint64_t parity_packets = 0;     ///< parity packets received
-  // Multipath salvage (zero when striping is disabled).
+  std::uint64_t parity_packets = 0;        ///< parity packets received
+  // Multipath (zero when striping is disabled).
   std::uint64_t path_switches = 0;    ///< healthy<->draining transitions
   std::uint64_t nack_suppressed = 0;  ///< NACKs deferred by reorder tolerance
+};
+
+/// One row of the trial-metric schema: the manifest key, the TrialMetrics
+/// member it names (a counter, or a duration written in ns under an `_ns`
+/// key), and the per-session summand run_trial adds into it.
+struct TrialMetricField {
+  using SessionValue = std::int64_t (*)(const SessionRecoveryMetrics&);
+
+  constexpr TrialMetricField(const char* k, std::uint64_t TrialMetrics::*c, SessionValue s = {})
+      : key(k), count(c), from_session(s) {}
+  constexpr TrialMetricField(const char* k, Duration TrialMetrics::*d, SessionValue s = {})
+      : key(k), span(d), from_session(s) {}
+
+  /// The field of `m` as a count, or in nanoseconds.
+  std::int64_t get(const TrialMetrics& m) const {
+    return count != nullptr ? static_cast<std::int64_t>(m.*count) : (m.*span).ns();
+  }
+  void add(TrialMetrics& m, std::int64_t v) const {
+    if (count != nullptr) m.*count += static_cast<std::uint64_t>(v);
+    else m.*span += Duration::nanos(v);
+  }
+
+  const char* key;
+  std::uint64_t TrialMetrics::*count = nullptr;
+  Duration TrialMetrics::*span = nullptr;
+  /// Null for the rows run_trial fills itself (sessions, reroutes, restores).
+  SessionValue from_session = nullptr;
+};
+
+/// A SessionRecoveryMetrics member or accessor as a TrialMetricField summand.
+template <auto Member>
+std::int64_t session_value(const SessionRecoveryMetrics& m) {
+  const auto v = std::invoke(Member, m);
+  if constexpr (std::is_same_v<decltype(v), const Duration>) return v.ns();
+  else return static_cast<std::int64_t>(v);
+}
+
+/// The trial-metric schema, in manifest key order. Serialize, parse, the
+/// aggregate fold and the per-session salvage sum all loop over it.
+inline std::span<const TrialMetricField> trial_metric_fields() {
+  using M = TrialMetrics;
+  using S = SessionRecoveryMetrics;
+  static constexpr TrialMetricField kFields[] = {
+      {"sessions", &M::sessions},
+      {"sessions_completed", &M::sessions_completed, session_value<&S::completed>},
+      {"sessions_failed", &M::sessions_failed, session_value<&S::session_failed>},
+      {"frames_rendered", &M::frames_rendered, session_value<&S::frames_rendered>},
+      {"frames_dropped", &M::frames_dropped, session_value<&S::frames_dropped>},
+      {"packets_received", &M::packets_received, session_value<&S::packets_received>},
+      {"packets_lost", &M::packets_lost, session_value<&S::packets_lost>},
+      {"rebuffers", &M::rebuffer_events, session_value<&S::rebuffer_events>},
+      {"reroutes", &M::reroutes},
+      {"route_restores", &M::route_restores},
+      {"failovers", &M::failovers, session_value<&S::failovers>},
+      {"packets_recovered", &M::packets_recovered, session_value<&S::packets_recovered>},
+      {"nacks_sent", &M::nacks_sent, session_value<&S::nacks_sent>},
+      {"retx_sent", &M::retransmissions_sent, session_value<&S::retransmissions_sent>},
+      {"parity_packets", &M::parity_packets, session_value<&S::parity_packets>},
+      {"path_switches", &M::path_switches, session_value<&S::path_switches>},
+      {"nacks_suppressed", &M::nack_suppressed, session_value<&S::nack_suppressed>},
+      {"router_down_stall_ns", &M::router_down_stall, session_value<&S::stall_during_router_down>},
+      {"stall_ns", &M::stall_time, session_value<&S::stall_time>},
+  };
+  return kFields;
+}
+
+/// One trial's ledger entry — also the unit the resume manifest stores. The
+/// TrialMetrics base survives the manifest round trip, unlike `result`.
+struct TrialOutcome : TrialMetrics {
+  std::size_t index = 0;
+  std::uint64_t seed = 0;
+  TrialStatus status = TrialStatus::kCompleted;
+  std::string reason;        ///< quarantine cause; empty when completed
+  std::uint64_t checks = 0;  ///< audit checks performed
+  std::uint64_t violations = 0;
+  std::uint64_t sim_events = 0;
+  bool budget_exhausted = false;
+  std::uint64_t digest = 0;  ///< replay digest folded at the client NIC
+  /// Index of the first divergent event (verify-determinism mode only).
+  std::optional<std::uint64_t> divergence;
+  /// Restored from the resume manifest rather than run in this process.
+  bool from_manifest = false;
+  /// Full run metrics; absent when the trial threw before collection or was
+  /// restored from a manifest (whose lines keep only the TrialMetrics).
+  std::optional<TurbulenceRunResult> result;
 
   // Worker post-mortem evidence (distributed campaigns; see
   // src/campaign/distributed.hpp). Zero/empty for in-process trials, so a
@@ -190,8 +260,7 @@ struct TrialOutcome {
   std::string stderr_tail;        ///< last bytes of the dead worker's stderr
 
   /// Metric snapshot folded into the campaign telemetry; survives the
-  /// manifest round-trip. Absent when collection is off (or the manifest
-  /// line predates telemetry).
+  /// manifest round-trip. Absent when collection is off.
   std::optional<obs::TrialTelemetry> telemetry;
   /// Rendered flight-recorder document (quarantined live trials only);
   /// written out by the coordinator, never stored in the manifest.
@@ -203,27 +272,8 @@ struct TrialOutcome {
 };
 
 /// Study-level totals over every *completed* trial, live or restored.
-struct CampaignAggregate {
+struct CampaignAggregate : TrialMetrics {
   std::uint64_t trials = 0;
-  std::uint64_t sessions = 0;
-  std::uint64_t sessions_completed = 0;
-  std::uint64_t sessions_failed = 0;
-  std::uint64_t frames_rendered = 0;
-  std::uint64_t frames_dropped = 0;
-  std::uint64_t packets_received = 0;
-  std::uint64_t packets_lost = 0;
-  std::uint64_t rebuffer_events = 0;
-  Duration stall_time;
-  std::uint64_t reroutes = 0;
-  std::uint64_t route_restores = 0;
-  std::uint64_t failovers = 0;
-  Duration router_down_stall;
-  std::uint64_t packets_recovered = 0;
-  std::uint64_t nacks_sent = 0;
-  std::uint64_t retransmissions_sent = 0;
-  std::uint64_t parity_packets = 0;
-  std::uint64_t path_switches = 0;
-  std::uint64_t nack_suppressed = 0;
 
   void fold(const TrialOutcome& trial);
 };
@@ -270,6 +320,7 @@ struct CampaignResult {
 
 /// Digest of the campaign parameters under which trial results are
 /// comparable; a resume manifest carrying a different digest is rejected.
+/// DESIGN.md §10 lists what it folds and what it leaves out.
 std::uint64_t campaign_config_digest(const CampaignConfig& config);
 
 /// Runs (or resumes) the campaign. Throws std::runtime_error when the
@@ -295,8 +346,9 @@ std::string config_hex(const CampaignConfig& config);
 std::string manifest_line(const TrialOutcome& trial, const std::string& config_hex);
 
 /// Parses one manifest line; throws std::runtime_error (tagged with
-/// line_no) on malformed input or a config-digest mismatch. The returned
-/// outcome has from_manifest=true.
+/// line_no) on malformed input — a missing key, or a number that is not
+/// wholly a decimal in its field's range — or a config-digest mismatch.
+/// The returned outcome has from_manifest=true.
 TrialOutcome parse_manifest_line(const std::string& line, const std::string& config_hex,
                                  std::size_t line_no);
 

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <ostream>
 #include <sstream>
 
@@ -121,42 +122,70 @@ int export_study(const StudyResults& study, const std::string& directory) {
 
 namespace {
 
-void append_recovery_row(std::ostream& out, const std::string& scenario,
-                         const SessionRecoveryMetrics& m) {
-  out << scenario << "," << m.clip.id() << "," << player_tag(m.clip.player) << ","
-      << (m.established ? 1 : 0) << "," << m.play_attempts << ","
-      << (m.abandoned ? 1 : 0) << "," << (m.stream_dead ? 1 : 0) << ","
-      << (m.completed ? 1 : 0) << ","
-      << (m.time_to_recover ? fmt_double(m.time_to_recover->to_seconds(), 3)
-                            : std::string())
-      << "," << m.rebuffer_events << "," << fmt_double(m.stall_time.to_seconds(), 3)
-      << "," << m.frames_rendered << "," << m.frames_dropped << ","
-      << m.frames_dropped_during_episodes << "," << m.frames_dropped_after_episodes
-      << "," << m.packets_received << "," << m.packets_lost << ","
-      << m.duplicate_packets << "," << m.packets_recovered << ","
-      << fmt_double(m.recovery_ratio(), 4) << ","
-      << fmt_double(m.repair_latency_mean_ms, 3) << ","
-      << fmt_double(m.repair_overhead(), 4) << "," << m.path_switches << ","
-      << fmt_double(m.primary_loss_ratio(), 4) << ","
-      << fmt_double(m.detour_loss_ratio(), 4) << ","
-      << fmt_double(m.primary_goodput_kbps, 1) << ","
-      << fmt_double(m.detour_goodput_kbps, 1) << "," << m.reorder_depth_p95
-      << "," << m.nack_suppressed << "\n";
+using Recovery = SessionRecoveryMetrics;
+
+/// One turbulence.csv column after `scenario`: its header and its cell text.
+struct RecoveryColumn {
+  const char* name;
+  std::string (*cell)(const Recovery&);
+};
+
+/// A member or accessor: an integer or flag, or with `Decimals` >= 0 a
+/// fixed-point number.
+template <auto Field, int Decimals = -1>
+std::string cell(const Recovery& m) {
+  if constexpr (Decimals < 0) return std::to_string(std::invoke(Field, m));
+  else return fmt_double(std::invoke(Field, m), Decimals);
 }
+
+constexpr RecoveryColumn kRecoveryColumns[] = {
+    {"clip_id", [](const Recovery& m) { return m.clip.id(); }},
+    {"player", [](const Recovery& m) { return player_tag(m.clip.player); }},
+    {"established", cell<&Recovery::established>},
+    {"play_attempts", cell<&Recovery::play_attempts>},
+    {"abandoned", cell<&Recovery::abandoned>},
+    {"stream_dead", cell<&Recovery::stream_dead>},
+    {"completed", cell<&Recovery::completed>},
+    {"time_to_recover_s",
+     [](const Recovery& m) {
+       return m.time_to_recover ? fmt_double(m.time_to_recover->to_seconds(), 3) : "";
+     }},
+    {"rebuffer_events", cell<&Recovery::rebuffer_events>},
+    {"stall_s", [](const Recovery& m) { return fmt_double(m.stall_time.to_seconds(), 3); }},
+    {"frames_rendered", cell<&Recovery::frames_rendered>},
+    {"frames_dropped", cell<&Recovery::frames_dropped>},
+    {"dropped_during", cell<&Recovery::frames_dropped_during_episodes>},
+    {"dropped_after", cell<&Recovery::frames_dropped_after_episodes>},
+    {"packets", cell<&Recovery::packets_received>},
+    {"lost", cell<&Recovery::packets_lost>},
+    {"duplicates", cell<&Recovery::duplicate_packets>},
+    {"recovered", cell<&Recovery::packets_recovered>},
+    {"recovery_ratio", cell<&Recovery::recovery_ratio, 4>},
+    {"repair_latency_mean_ms", cell<&Recovery::repair_latency_mean_ms, 3>},
+    {"repair_overhead", cell<&Recovery::repair_overhead, 4>},
+    {"path_switches", cell<&Recovery::path_switches>},
+    {"primary_loss", cell<&Recovery::primary_loss_ratio, 4>},
+    {"detour_loss", cell<&Recovery::detour_loss_ratio, 4>},
+    {"primary_goodput_kbps", cell<&Recovery::primary_goodput_kbps, 1>},
+    {"detour_goodput_kbps", cell<&Recovery::detour_goodput_kbps, 1>},
+    {"reorder_depth_p95", cell<&Recovery::reorder_depth_p95>},
+    {"nack_suppressed", cell<&Recovery::nack_suppressed>},
+};
 
 }  // namespace
 
 void turbulence_csv(const std::vector<std::pair<std::string, TurbulenceRunResult>>& runs,
                     std::ostream& out) {
-  out << "scenario,clip_id,player,established,play_attempts,abandoned,stream_dead,"
-         "completed,time_to_recover_s,rebuffer_events,stall_s,frames_rendered,"
-         "frames_dropped,dropped_during,dropped_after,packets,lost,duplicates,"
-         "recovered,recovery_ratio,repair_latency_mean_ms,repair_overhead,"
-         "path_switches,primary_loss,detour_loss,primary_goodput_kbps,"
-         "detour_goodput_kbps,reorder_depth_p95,nack_suppressed\n";
+  out << "scenario";
+  for (const RecoveryColumn& c : kRecoveryColumns) out << ',' << c.name;
+  out << '\n';
   for (const auto& [scenario, run] : runs) {
-    if (run.real) append_recovery_row(out, scenario, *run.real);
-    if (run.media) append_recovery_row(out, scenario, *run.media);
+    for (const auto* m : {&run.real, &run.media}) {
+      if (!*m) continue;
+      out << scenario;
+      for (const RecoveryColumn& c : kRecoveryColumns) out << ',' << c.cell(**m);
+      out << '\n';
+    }
   }
 }
 

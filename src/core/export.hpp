@@ -35,14 +35,10 @@ std::string figure_csv(const StudyResults& study, const std::string& figure);
 /// study_results.csv and fig<NN>.csv). Returns the number of files written.
 int export_study(const StudyResults& study, const std::string& directory);
 
-/// Turbulence scenario results, one row per player session per run.
-/// Columns: scenario,clip_id,player,established,play_attempts,abandoned,
-/// stream_dead,completed,time_to_recover_s,rebuffer_events,stall_s,
-/// frames_rendered,frames_dropped,dropped_during,dropped_after,packets,
-/// lost,duplicates,recovered,recovery_ratio,repair_latency_mean_ms,
-/// repair_overhead,path_switches,primary_loss,detour_loss,
-/// primary_goodput_kbps,detour_goodput_kbps,reorder_depth_p95,
-/// nack_suppressed
+/// Turbulence scenario results, one row per player session per run:
+/// `scenario`, then one column per entry of kRecoveryColumns in export.cpp
+/// (clip and player, session outcome, recovery and stall, frame and packet
+/// accounting, loss repair, multipath).
 void turbulence_csv(const std::vector<std::pair<std::string, TurbulenceRunResult>>& runs,
                     std::ostream& out);
 std::string turbulence_csv(const std::vector<std::pair<std::string, TurbulenceRunResult>>&
