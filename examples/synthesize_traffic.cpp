@@ -3,6 +3,7 @@
 // validate it against the fitted distributions, and export an ns-2 trace.
 //
 // Usage: synthesize_traffic [clip-id] [output.nstr]
+// The trace defaults to streamlab_flow.nstr in the current directory.
 #include <cstdio>
 #include <string>
 
@@ -15,7 +16,7 @@ using namespace streamlab;
 
 int main(int argc, char** argv) {
   const std::string clip_id = argc > 1 ? argv[1] : "set1/R-l";
-  const std::string out_path = argc > 2 ? argv[2] : "/tmp/streamlab_flow.nstr";
+  const std::string out_path = argc > 2 ? argv[2] : "streamlab_flow.nstr";
   const auto clip = find_clip(clip_id);
   if (!clip) {
     std::fprintf(stderr, "unknown clip id '%s'\n", clip_id.c_str());

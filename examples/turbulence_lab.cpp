@@ -15,6 +15,7 @@
 //                       [--distributed] [--max-worker-restarts <n>]
 //                       [--kill-worker-after <n>]
 //                       [--fleet <N>]
+// The export dir defaults to streamlab_turbulence in the current directory.
 // An unrecognised --flag prints this usage on stderr and exits with status 2.
 //
 // With --fleet N the lab switches to the city-scale trial: N flyweight
@@ -666,7 +667,7 @@ int main(int argc, char** argv) {
   const int set_id = positional.size() > 0 ? std::atoi(positional[0]) : 1;
   const RateTier tier = positional.size() > 1 ? parse_tier(positional[1]) : RateTier::kLow;
   const std::string export_dir =
-      positional.size() > 2 ? positional[2] : "/tmp/streamlab_turbulence";
+      positional.size() > 2 ? positional[2] : "streamlab_turbulence";
   if (set_id < 1 || set_id > 6) {
     std::fprintf(stderr, "set must be 1..6\n");
     return 1;

@@ -242,18 +242,18 @@ namespace {
 
 // --- Trial execution ---
 
-/// Sums the trial's TrialMetrics out of the full run result.
-void fill_salvage(TrialOutcome& t) {
-  if (!t.result) return;
-  for (const auto* session : {&t.result->real, &t.result->media}) {
+/// A trial's TrialMetrics, summed out of its sessions' run metrics.
+TrialMetrics session_sums(const TurbulenceRunResult& run) {
+  TrialMetrics sums;
+  for (const auto* session : {&run.real, &run.media}) {
     if (!*session) continue;
-    const SessionRecoveryMetrics& m = **session;
-    ++t.sessions;
+    ++sums.sessions;
     for (const TrialMetricField& f : trial_metric_fields())
-      if (f.from_session != nullptr) f.add(t, f.from_session(m));
+      if (f.from_session != nullptr) f.add(sums, f.from_session(**session));
   }
-  t.reroutes = t.result->reroutes;
-  t.route_restores = t.result->route_restores;
+  sums.reroutes = run.reroutes;
+  sums.route_restores = run.route_restores;
+  return sums;
 }
 
 /// Derives the per-trial scalar samples/tallies the cross-trial
@@ -263,6 +263,9 @@ obs::TrialTelemetry snapshot_trial(const TrialOutcome& t, const ClipInfo& clip,
   obs::TrialTelemetry out;
   if (trial_obs != nullptr) out = obs::TrialTelemetry::from_registry(trial_obs->registry());
   if (t.result) {
+    // From the run itself, not from `t`: a quarantined trial keeps zero
+    // TrialMetrics, but its telemetry still reports what the run saw.
+    const TrialMetrics m = session_sums(*t.result);
     std::uint64_t wire_bytes = 0;
     double latency_sum = 0.0;
     std::size_t latency_sessions = 0;
@@ -279,18 +282,18 @@ obs::TrialTelemetry snapshot_trial(const TrialOutcome& t, const ClipInfo& clip,
     if (clip.length.ns() > 0)
       out.set_sample("trial.goodput_kbps",
                      static_cast<double>(wire_bytes) * 8.0 / 1000.0 / clip.length.to_seconds());
-    out.set_sample("trial.stall_ms", t.stall_time.to_millis());
-    const std::uint64_t loss_denominator = t.packets_lost + t.packets_recovered;
+    out.set_sample("trial.stall_ms", m.stall_time.to_millis());
+    const std::uint64_t loss_denominator = m.packets_lost + m.packets_recovered;
     out.set_sample("trial.recovery_ratio",
                    loss_denominator > 0
-                       ? static_cast<double>(t.packets_recovered) / static_cast<double>(loss_denominator)
+                       ? static_cast<double>(m.packets_recovered) / static_cast<double>(loss_denominator)
                        : 0.0);
     if (latency_sessions > 0)
       out.set_sample("trial.repair_latency_ms", latency_sum / static_cast<double>(latency_sessions));
     out.set_tally("trial.sim_events", t.sim_events);
-    out.set_tally("trial.packets_lost", t.packets_lost);
-    out.set_tally("trial.rebuffers", t.rebuffer_events);
-    out.set_tally("trial.reroutes", t.reroutes);
+    out.set_tally("trial.packets_lost", m.packets_lost);
+    out.set_tally("trial.rebuffers", m.rebuffer_events);
+    out.set_tally("trial.reroutes", m.reroutes);
   }
   return out;
 }
@@ -381,7 +384,9 @@ TrialOutcome run_trial(const CampaignConfig& config, std::size_t index,
           "determinism: runs diverge at event #" + std::to_string(*t.divergence);
     }
   }
-  if (t.status == TrialStatus::kCompleted) fill_salvage(t);
+  // Only completed trials are salvaged; a quarantined one keeps zero metrics.
+  if (t.status == TrialStatus::kCompleted && t.result)
+    static_cast<TrialMetrics&>(t) = session_sums(*t.result);
 
   if (collect) t.telemetry = snapshot_trial(t, config.clip, trial_obs);
   if (t.status == TrialStatus::kQuarantined) {
@@ -618,9 +623,11 @@ std::uint64_t campaign_config_digest(const CampaignConfig& config) {
         rm.burst_max_fraction_of_clip, rm.preroll, rm.size_cv, rm.size_spread_min,
         rm.size_spread_max, rm.max_media_per_datagram, rm.min_media_per_datagram,
         rm.interarrival_cv);
+  // Playout: max_stall's sign (stall vs drop-late) sits where a separate
+  // rebuffering flag used to, so existing manifests keep their digest.
   const SessionRecoveryConfig& rc = s.recovery;
   d.add(rc.play_retry, rc.play_timeout, rc.backoff, rc.max_play_attempts,
-        rc.inactivity_timeout, s.rebuffering, s.max_stall);
+        rc.inactivity_timeout, s.max_stall > Duration::zero(), s.max_stall);
   // Episode labels are report tags only.
   d.add(s.episodes.size());
   for (const FaultEpisode& e : s.episodes)

@@ -47,7 +47,6 @@ FaultedSession make_session(Network& net, Host& server_host, Host* mirror_host,
   cc.kind = clip.player;
   cc.wm = config.wm;
   cc.rm = config.rm;
-  cc.rebuffering = config.rebuffering;
   cc.max_stall = config.max_stall;
   cc.recovery = config.recovery;
   cc.repair = config.repair_layer;

@@ -53,12 +53,11 @@ struct TurbulenceScenarioConfig {
   /// sessions are precisely what turbulence runs must detect.
   SessionRecoveryConfig recovery{true, Duration::millis(500), 2.0, 5,
                                  Duration::seconds(8)};
-  /// Play with the products' stall behaviour (Section 3.F) so the delay
-  /// buffer's protection during an episode is visible as stall time.
-  bool rebuffering = true;
-  /// Tighter than the client default: a frame whose data was lost to an
-  /// episode (never retransmitted) should be skipped after a short freeze,
-  /// not hold the picture for 10 s.
+  /// Longest single playout stall (StreamClient::Config::max_stall). The
+  /// scenario plays with the products' stall behaviour (Section 3.F), so the
+  /// delay buffer's protection during an episode is visible as stall time,
+  /// and a frame whose data was lost to an episode (never retransmitted) is
+  /// skipped after a short freeze. Zero plays drop-late instead.
   Duration max_stall = Duration::seconds(2);
   /// Episode script, applied to the path's bottleneck link in start order.
   /// kRouterDown episodes target `FaultEpisode::router_index` instead.

@@ -213,7 +213,7 @@ void StreamClient::arm_watchdog(Duration delay) {
 
 void StreamClient::on_watchdog() {
   // playback_finished_ covers sessions whose end-of-stream marker was lost:
-  // the drop-late timeline still completes them, and a completed session
+  // the playout cursor still completes them, and a completed session
   // must never be re-declared dead by a stale silence window.
   if (eos_received_ || stream_dead_ || session_abandoned_ || playback_finished_)
     return;
@@ -755,23 +755,12 @@ void StreamClient::release_app_batch() {
 
 void StreamClient::begin_playout(SimTime when) {
   playout_start_ = when;
-  if (config_.rebuffering) {
-    // Stall-capable playout walks frames one at a time so stalls can shift
-    // every later deadline.
-    schedule_frame(0);
-    return;
-  }
-  // Drop-late playout: schedule every frame's decode deadline up front; the
-  // event loop keeps them ordered and the per-frame closure checks data
-  // availability.
-  for (std::size_t i = 0; i < clip_.frames().size(); ++i) {
-    const SimTime deadline = when + clip_.frames()[i].pts;
-    host_.loop().post_at(deadline, [this, i] { decode_frame(i); },
-                             obs::EventCategory::kPlayout);
-  }
+  schedule_frame(0);
 }
 
 void StreamClient::schedule_frame(std::size_t index) {
+  // The playout cursor: each decode posts the next frame's deadline, so a
+  // session has at most one pending kPlayout event.
   if (index >= clip_.frames().size()) {
     playback_finished_ = true;
     playback_end_ = host_.loop().now();
@@ -781,18 +770,8 @@ void StreamClient::schedule_frame(std::size_t index) {
   }
   const SimTime deadline = *playout_start_ + playout_shift_ + clip_.frames()[index].pts;
   current_stall_ = Duration::zero();
-  host_.loop().post_at(deadline, [this, index] { decode_frame_rebuffering(index); },
+  host_.loop().post_at(deadline, [this, index] { decode_frame(index); },
                            obs::EventCategory::kPlayout);
-}
-
-void StreamClient::abandon_remaining_frames(std::size_t from_index) {
-  // Stream declared dead mid-playout: the remaining frames can never be
-  // decoded, so account them as dropped at once instead of stalling
-  // max_stall on each — this is what lets the event loop drain promptly
-  // after a fatal outage.
-  frames_dropped_ +=
-      static_cast<std::uint32_t>(clip_.frames().size() - from_index);
-  playback_end_ = host_.loop().now();
 }
 
 void StreamClient::close_stall_interval(SimTime now) {
@@ -802,29 +781,38 @@ void StreamClient::close_stall_interval(SimTime now) {
   }
 }
 
-void StreamClient::decode_frame_rebuffering(std::size_t index) {
+void StreamClient::decode_frame(std::size_t index) {
+  const SimTime now = host_.loop().now();
   if (stream_dead_) {
-    obs_end_rebuffer(host_.loop().now());
-    close_stall_interval(host_.loop().now());
-    abandon_remaining_frames(index);
+    // Stream declared dead mid-playout: the remaining frames can never be
+    // decoded, so the cursor stops and accounts them as dropped at once
+    // instead of stalling max_stall on each — this is what lets the event
+    // loop drain promptly after a fatal outage.
+    obs_end_rebuffer(now);
+    close_stall_interval(now);
+    frames_dropped_ += static_cast<std::uint32_t>(clip_.frames().size() - index);
+    playback_end_ = now;
     return;
   }
   const EncodedFrame& frame = clip_.frames()[index];
   const bool ready =
       app_coverage_.covers(frame.byte_offset, frame.byte_offset + frame.bytes);
 
+  // With max_stall zero (drop-late) a frame missing at its deadline is
+  // dropped at once and playout never stalls.
   if (!ready && current_stall_ < config_.max_stall) {
-    // Stall: the picture freezes while the buffer refills.
+    // Stall: the picture freezes while the buffer refills; the cursor polls
+    // the same frame until its data arrives or max_stall runs out.
     if (current_stall_ == Duration::zero()) {
       ++rebuffer_events_;
-      stall_start_ = host_.loop().now();
+      stall_start_ = now;
       attribute_stall();
       if (obs_) {
         obs_->rebuffers.add();
         if constexpr (obs::kObsCompiledIn) {
           if (obs_->obs->tracing())
-            obs_->rebuffer_span = obs_->obs->tracer().begin_span(
-                obs_->rebuffer_name, obs_->track, host_.loop().now());
+            obs_->rebuffer_span =
+                obs_->obs->tracer().begin_span(obs_->rebuffer_name, obs_->track, now);
         }
       }
     }
@@ -832,49 +820,23 @@ void StreamClient::decode_frame_rebuffering(std::size_t index) {
     current_stall_ += poll;
     playout_shift_ += poll;
     total_stall_time_ += poll;
-    host_.loop().post_in(poll, [this, index] { decode_frame_rebuffering(index); },
+    host_.loop().post_in(poll, [this, index] { decode_frame(index); },
                              obs::EventCategory::kPlayout);
     return;
   }
-  obs_end_rebuffer(host_.loop().now());
-  close_stall_interval(host_.loop().now());
+  obs_end_rebuffer(now);
+  close_stall_interval(now);
 
   FrameEvent ev;
-  ev.time = host_.loop().now();
+  ev.time = now;
   ev.frame_index = frame.index;
   ev.rendered = ready;
   if (ready)
     ++frames_rendered_;
   else
-    ++frames_dropped_;  // abandoned after max_stall
+    ++frames_dropped_;  // late: dropped at once, or abandoned after max_stall
   frame_events_.push_back(ev);
   schedule_frame(index + 1);
-}
-
-void StreamClient::decode_frame(std::size_t index) {
-  const EncodedFrame& frame = clip_.frames()[index];
-  FrameEvent ev;
-  ev.time = host_.loop().now();
-  ev.frame_index = frame.index;
-  // A dead session renders nothing more, even from buffered data.
-  ev.rendered = !stream_dead_ &&
-                app_coverage_.covers(frame.byte_offset,
-                                     frame.byte_offset + frame.bytes);
-  if (ev.rendered)
-    ++frames_rendered_;
-  else
-    ++frames_dropped_;
-  frame_events_.push_back(ev);
-
-  if (index + 1 == clip_.frames().size()) {
-    playback_finished_ = true;
-    playback_end_ = host_.loop().now();
-    // Pre-scheduled drop-late deadlines keep firing after a watchdog death,
-    // so the playout timeline can end in a dead session; only a live one
-    // transitions to kCompleted.
-    if (phase_ == audit::SessionPhase::kEstablished)
-      enter_phase(audit::SessionPhase::kCompleted);
-  }
 }
 
 std::uint64_t StreamClient::packets_lost() const {

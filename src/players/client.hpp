@@ -86,14 +86,14 @@ class StreamClient {
     /// When enabled, the client sends periodic receiver reports (loss
     /// feedback) so a scaling-enabled server can adapt (Section VI).
     MediaScalingPolicy scaling;
-    /// Playout policy for late data. false (the study's analysis model):
-    /// a frame that misses its deadline is dropped and playout continues.
-    /// true (the products' actual behaviour): playout stalls until the
-    /// frame's data arrives, shifting all later deadlines — the rebuffering
-    /// the delay buffer exists to avoid (Section 3.F).
-    bool rebuffering = false;
-    /// Longest single stall before the frame is abandoned as dropped.
-    Duration max_stall = Duration::seconds(10);
+    /// Playout policy for late data: the longest single stall on a frame
+    /// whose data is missing at its decode deadline. Zero (the default, the
+    /// study's analysis model) is drop-late: such a frame is dropped at once
+    /// and playout continues. Positive is the products' actual behaviour:
+    /// playout stalls until the frame's data arrives, shifting all later
+    /// deadlines — the rebuffering the delay buffer exists to avoid
+    /// (Section 3.F) — and abandons the frame as dropped after max_stall.
+    Duration max_stall = Duration::zero();
     /// Handshake retry / liveness policy.
     SessionRecoveryConfig recovery;
     /// Mirror-server failover policy (empty = no failover).
@@ -240,7 +240,7 @@ class StreamClient {
   std::optional<SimTime> last_data_time() const { return last_data_; }
   std::optional<SimTime> playout_start_time() const { return playout_start_; }
   std::optional<SimTime> playback_end_time() const { return playback_end_; }
-  /// Rebuffering statistics (always zero when Config::rebuffering is off).
+  /// Rebuffering statistics (always zero when Config::max_stall is zero).
   std::uint32_t rebuffer_events() const { return rebuffer_events_; }
   Duration total_stall_time() const { return total_stall_time_; }
 
@@ -310,13 +310,11 @@ class StreamClient {
   }
   void failover(SimTime now);
   void close_stall_interval(SimTime now);
-  void abandon_remaining_frames(std::size_t from_index);
   void send_receiver_report();
   void release_app_batch();
   void begin_playout(SimTime when);
-  void decode_frame(std::size_t index);
   void schedule_frame(std::size_t index);
-  void decode_frame_rebuffering(std::size_t index);
+  void decode_frame(std::size_t index);
 
   Host& host_;
   const EncodedClip& clip_;

@@ -562,6 +562,36 @@ TEST(CampaignTelemetry, QuarantineWritesPostmortemFlightRecord) {
   EXPECT_LE(trace_lines, 32u);
 }
 
+/// A quarantined trial's telemetry reports what its run saw — the loss and
+/// stall of that seed's unplanted run — while its manifest metrics, which
+/// only completed trials are salvaged into, stay zero.
+TEST(CampaignTelemetry, QuarantinedTrialTelemetryMatchesItsUnplantedRun) {
+  CampaignConfig config = tiny_campaign(3);
+  const CampaignResult clean = run_campaign(config);
+  config.fault_hook = [](audit::Auditor& auditor, std::size_t index, std::uint64_t) {
+    if (index == 1) auditor.force_violation("planted by test");
+  };
+  const CampaignResult planted = run_campaign(config);
+
+  const TrialOutcome& unplanted = clean.trials[1];
+  const TrialOutcome& quarantined = planted.trials[1];
+  ASSERT_EQ(quarantined.status, TrialStatus::kQuarantined);
+  ASSERT_GT(unplanted.packets_lost, 0u);
+  ASSERT_GT(unplanted.stall_time, Duration::zero());
+  ASSERT_TRUE(unplanted.telemetry && quarantined.telemetry);
+  EXPECT_EQ(quarantined.telemetry->tally("trial.packets_lost"), unplanted.packets_lost);
+  EXPECT_EQ(quarantined.telemetry->sample("trial.stall_ms"),
+            unplanted.stall_time.to_millis());
+  // Every derived sample and tally matches; only the registry's
+  // audit.violations counter tells the two runs apart.
+  EXPECT_EQ(quarantined.telemetry->samples(), unplanted.telemetry->samples());
+  EXPECT_EQ(quarantined.telemetry->tallies(), unplanted.telemetry->tallies());
+
+  EXPECT_EQ(quarantined.packets_lost, 0u);
+  EXPECT_EQ(quarantined.stall_time, Duration::zero());
+  EXPECT_EQ(quarantined.sessions, 0u);
+}
+
 /// The progress hook fires every `progress_every` commits plus once at the
 /// end, with a monotone trial count and a live telemetry pointer.
 TEST(CampaignTelemetry, ProgressHookFiresOnCadenceAndAtCompletion) {

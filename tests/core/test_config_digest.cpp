@@ -84,7 +84,7 @@ const std::vector<Perturbation>& result_shaping() {
       {"max_sim_events", [](CampaignConfig& c) { c.scenario.max_sim_events = 1000; }},
       {"max_wall_time",
        [](CampaignConfig& c) { c.scenario.max_wall_time = std::chrono::milliseconds(5); }},
-      {"rebuffering", [](CampaignConfig& c) { c.scenario.rebuffering = false; }},
+      {"max_stall (drop-late)", [](CampaignConfig& c) { c.scenario.max_stall = Duration::zero(); }},
       {"max_stall", [](CampaignConfig& c) { c.scenario.max_stall += Duration::nanos(1); }},
       {"extra_sim_time", [](CampaignConfig& c) { c.scenario.extra_sim_time += Duration::nanos(1); }},
       // WmBehavior

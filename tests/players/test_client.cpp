@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "player_test_util.hpp"
 
 namespace streamlab {
@@ -57,6 +59,23 @@ TEST(StreamClient, FrameEventsMatchPlayoutSchedule) {
     EXPECT_EQ(events[i].frame_index, i);
     EXPECT_EQ(events[i].time, start + s.encoded.frames()[i].pts);
   }
+}
+
+TEST(StreamClient, DropLatePlayoutKeepsTheQueueShallow) {
+  // A 90 s clip has over a thousand frames. The playout cursor posts each
+  // decode deadline when the previous frame decodes, so the queue holds
+  // only in-flight packets and timers, never the whole frame schedule.
+  Session s(short_clip(PlayerKind::kMediaPlayer, 100, 90));
+  ASSERT_GT(s.encoded.frames().size(), 1000u);
+  s.client->start();
+  EventLoop& loop = s.net.loop();
+  std::size_t max_pending = 0;
+  while (!s.client->playback_finished() && loop.run(1) == 1) {
+    if (s.client->playback_started()) max_pending = std::max(max_pending, loop.pending_events());
+  }
+  ASSERT_TRUE(s.client->playback_finished());
+  EXPECT_EQ(s.client->frames_rendered(), s.encoded.frames().size());
+  EXPECT_LT(max_pending, 32u);
 }
 
 TEST(StreamClient, WmAppDeliveryBatchedOncePerSecond) {

@@ -192,7 +192,7 @@ TEST(Failover, AbandonsOnlyAfterMirrorsExhaust) {
 
 TEST(Failover, StallIntervalsSumToTotalStallTime) {
   auto cc = failover_config();
-  cc.rebuffering = true;
+  cc.max_stall = Duration::seconds(10);
   cc.recovery.inactivity_timeout = Duration::millis(800);
   FailoverHarness h(cc, 10);
   const SimTime cutoff = SimTime::from_seconds(2.0);

@@ -9,6 +9,10 @@ namespace {
 using testutil::fast_path;
 using testutil::short_clip;
 
+/// The stall budget these tests give a stall-capable client; zero is
+/// drop-late.
+constexpr Duration kMaxStall = Duration::seconds(10);
+
 /// Session variant with a configurable client.
 struct RebufferSession {
   Network net;
@@ -17,13 +21,13 @@ struct RebufferSession {
   std::unique_ptr<StreamServer> server;
   std::unique_ptr<StreamClient> client;
 
-  RebufferSession(const ClipInfo& clip, PathConfig path, bool rebuffering)
+  RebufferSession(const ClipInfo& clip, PathConfig path, Duration max_stall)
       : net(path), server_host(net.add_server("srv")), encoded(encode_clip(clip, 7)) {
     server = std::make_unique<WmServer>(server_host, encoded, WmBehavior{},
                                         kMediaServerPort);
     StreamClient::Config cc;
     cc.kind = clip.player;
-    cc.rebuffering = rebuffering;
+    cc.max_stall = max_stall;
     client = std::make_unique<StreamClient>(
         net.client(), server->clip(), Endpoint{server_host.address(), kMediaServerPort},
         cc);
@@ -37,7 +41,7 @@ struct RebufferSession {
 
 TEST(Rebuffering, CleanPathBehavesLikeDropMode) {
   const auto clip = short_clip(PlayerKind::kMediaPlayer, 150, 15);
-  RebufferSession s(clip, fast_path(), /*rebuffering=*/true);
+  RebufferSession s(clip, fast_path(), kMaxStall);
   s.run();
   EXPECT_TRUE(s.client->playback_finished());
   EXPECT_EQ(s.client->frames_dropped(), 0u);
@@ -56,9 +60,9 @@ TEST(Rebuffering, LossCausesStallsNotDrops) {
   lossy.seed = 3;
   const auto clip = short_clip(PlayerKind::kMediaPlayer, 150, 15);
 
-  RebufferSession drop(clip, lossy, false);
+  RebufferSession drop(clip, lossy, Duration::zero());
   drop.run();
-  RebufferSession stall(clip, lossy, true);
+  RebufferSession stall(clip, lossy, kMaxStall);
   stall.run(Duration::seconds(300));
 
   ASSERT_GT(drop.client->frames_dropped(), 0u);  // loss actually happened
@@ -75,7 +79,7 @@ TEST(Rebuffering, FrameEventsStayOrderedAndComplete) {
   lossy.loss_probability = 0.01;
   lossy.seed = 9;
   const auto clip = short_clip(PlayerKind::kMediaPlayer, 100, 12);
-  RebufferSession s(clip, lossy, true);
+  RebufferSession s(clip, lossy, kMaxStall);
   s.run(Duration::seconds(300));
 
   ASSERT_TRUE(s.client->playback_finished());
@@ -95,13 +99,13 @@ TEST(Rebuffering, MaxStallBoundsSingleWait) {
   lossy.loss_probability = 0.02;
   lossy.seed = 5;
   const auto clip = short_clip(PlayerKind::kMediaPlayer, 100, 10);
-  RebufferSession s(clip, lossy, true);
+  RebufferSession s(clip, lossy, kMaxStall);
   s.run(Duration::seconds(600));
   ASSERT_TRUE(s.client->playback_finished());
   // Total stall is bounded by events x max_stall.
   const double bound =
       static_cast<double>(s.client->rebuffer_events() + s.client->frames_dropped()) *
-      10.0;
+      kMaxStall.to_seconds();
   EXPECT_LE(s.client->total_stall_time().to_seconds(), bound + 1.0);
 }
 

@@ -120,6 +120,33 @@ TEST(SessionRecovery, WatchdogDeclaresStreamDeadAfterSilence) {
   EXPECT_LE(*h.client.session_failure_time(), SimTime::from_seconds(3.2));
 }
 
+TEST(SessionRecovery, DeadDropLateSessionStopsPlayoutAtDeath) {
+  auto cc = rm_config();  // max_stall zero: drop-late playout
+  cc.recovery.inactivity_timeout = Duration::seconds(1);
+  WireHarness h(cc, 20);
+  // Playout starts ~4 s in (RM preroll); the wire goes dark at 8 s, so the
+  // watchdog kills the session mid-playout.
+  h.drop_to_client = [&](const Ipv4Packet&) {
+    return h.loop.now() >= SimTime::from_seconds(8.0);
+  };
+
+  h.client.start();
+  h.loop.run();
+
+  ASSERT_TRUE(h.client.stream_dead());
+  ASSERT_TRUE(h.client.session_failure_time());
+  const SimTime death = *h.client.session_failure_time();
+  const auto& events = h.client.frame_events();
+  ASSERT_FALSE(events.empty());
+  EXPECT_LT(events.size(), h.clip.frames().size());
+  for (const FrameEvent& ev : events) EXPECT_LE(ev.time, death);
+  EXPECT_GT(h.client.frames_rendered(), 0u);
+  // The frames the cursor never reached are dropped, not lost from the
+  // account.
+  EXPECT_EQ(h.client.frames_rendered() + h.client.frames_dropped(), h.clip.frames().size());
+  EXPECT_FALSE(h.client.playback_finished());
+}
+
 TEST(SessionRecovery, WatchdogCatchesOutageRightAfterHandshake) {
   auto cc = rm_config();
   cc.recovery.inactivity_timeout = Duration::seconds(1);
