@@ -30,12 +30,14 @@
 // on the event loop's one queue, the timing wheel.
 //
 // With --distributed the campaign trials run on separate worker *processes*
-// (this binary re-exec'd with the hidden --worker flag) under the
+// (this binary re-exec'd with its own command line plus the hidden --worker
+// flag; --workers counts them as it counts threads) under the
 // crash-tolerant coordinator: heartbeats and per-trial deadlines detect
 // dead/hung workers, their in-flight trials are reassigned (capped retries,
 // exponential backoff, poison quarantine), dead slots respawn up to
-// --max-worker-restarts times, and a fully-dead fleet degrades to the
-// in-process pool. Results stay byte-identical with a serial run.
+// --max-worker-restarts times, and a fully-dead fleet degrades to running
+// the rest on the coordinator, one commit per trial. Results stay
+// byte-identical with a serial run.
 // --kill-worker-after <n> SIGKILLs worker 0 after n results as a
 // deterministic fault-injection demo. SIGINT/SIGTERM during any campaign
 // mode flushes the partial manifest + aggregate before exiting nonzero, so
@@ -344,14 +346,13 @@ CampaignConfig build_campaign_config(const ClipInfo& clip, std::size_t trials,
   return cfg;
 }
 
-/// --distributed knobs gathered from the CLI, plus the worker command line
-/// (this binary + the digest-relevant flags, minus the per-player
-/// --worker selector appended in run_campaign_mode).
+/// --distributed knobs gathered from the CLI, plus this process's own
+/// command line, which each worker re-execs with --worker <player> appended.
 struct DistributedCli {
   bool enabled = false;
   std::size_t max_worker_restarts = 2;
   std::size_t kill_worker_after = 0;
-  std::vector<std::string> worker_argv_base;
+  std::vector<std::string> argv;
 };
 
 /// Campaign mode: N audited trials of the burst-loss scenario per player.
@@ -395,12 +396,10 @@ int run_campaign_mode(const ClipSet& set, RateTier tier, std::size_t trials,
     try {
       if (distrib.enabled) {
         campaign::DistributedOptions opts;
-        opts.worker_argv = distrib.worker_argv_base;
+        opts.worker_argv = distrib.argv;
         opts.worker_argv.push_back("--worker");
         opts.worker_argv.push_back(player);
-        // --workers 0 means "one per hardware thread" for the in-process
-        // pool; for process workers default to the CI smoke's fleet of 4.
-        opts.workers = workers > 0 ? workers : 4;
+        opts.workers = workers;
         opts.max_worker_restarts = distrib.max_worker_restarts;
         opts.kill_worker_after = distrib.kill_worker_after;
         // A healthy trial finishes far inside the 120 s wall budget; a
@@ -700,33 +699,13 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, handle_stop_signal);
     std::signal(SIGTERM, handle_stop_signal);
     if (distrib.enabled) {
-      // Worker command line: this binary re-exec'd with every
-      // digest-relevant flag; run_campaign_mode appends --worker <player>.
+      // Workers re-exec this command line: worker mode returns before any
+      // coordinator-only flag matters, and every flag that shapes the config
+      // digest is carried as given.
       char exe[4096];
       const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-      std::string exe_path;
-      if (n > 0) {
-        exe[n] = '\0';
-        exe_path = exe;
-      } else {
-        exe_path = argv[0];
-      }
-      distrib.worker_argv_base = {exe_path, std::to_string(set_id),
-                                  positional.size() > 1 ? positional[1] : "low",
-                                  "--campaign", std::to_string(campaign_trials),
-                                  "--seed", std::to_string(base_seed)};
-      if (verify_determinism) distrib.worker_argv_base.push_back("--verify-determinism");
-      if (chaos) distrib.worker_argv_base.push_back("--chaos");
-      if (g_repair.fec_k > 0) {
-        distrib.worker_argv_base.push_back("--fec");
-        distrib.worker_argv_base.push_back(std::to_string(g_repair.fec_k));
-      }
-      if (g_repair.nack) distrib.worker_argv_base.push_back("--nack");
-      if (g_multipath) distrib.worker_argv_base.push_back("--multipath");
-      if (plant_quarantine >= 0) {
-        distrib.worker_argv_base.push_back("--plant-quarantine");
-        distrib.worker_argv_base.push_back(std::to_string(plant_quarantine));
-      }
+      distrib.argv.assign(argv, argv + argc);
+      if (n > 0) distrib.argv[0].assign(exe, static_cast<std::size_t>(n));
     }
     return run_campaign_mode(set, tier, campaign_trials, base_seed, verify_determinism,
                              manifest_path, campaign_workers, chaos, progress_every,

@@ -1,11 +1,8 @@
 #include "campaign/distributed.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <deque>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -17,7 +14,6 @@
 #include "campaign/process.hpp"
 #include "campaign/protocol.hpp"
 #include "core/flightrec.hpp"
-#include "obs/obs.hpp"
 
 namespace streamlab::campaign {
 namespace {
@@ -39,24 +35,14 @@ class ScopedSigpipeIgnore {
   struct sigaction saved_ {};
 };
 
-/// One trial's journey through the failure plane.
-struct TrialWork {
-  std::size_t index = 0;
-  std::uint32_t attempts = 0;  ///< worker attempts consumed so far
-  Clock::time_point eligible_at{};  ///< reassignment backoff gate
-  /// When the last holding worker was declared dead — start of the
-  /// reassignment-latency clock.
-  std::optional<Clock::time_point> failed_at;
-  int last_exit_status = 0;
-  std::string last_stderr;
-};
+using campaign_detail::PendingTrial;
 
 struct Slot {
   enum class State { kDead, kSpawning, kIdle, kBusy };
   State state = State::kDead;
   ChildProcess proc;
   FrameReader reader;
-  std::optional<TrialWork> work;  ///< in-flight assignment (kBusy only)
+  std::optional<PendingTrial> work;  ///< in-flight assignment (kBusy only)
   Clock::time_point last_heartbeat{};
   Clock::time_point trial_start{};
   bool ever_spawned = false;
@@ -65,78 +51,33 @@ struct Slot {
   bool banned = false;  ///< digest mismatch: respawning cannot help
 };
 
-struct ReadyOutcome {
-  TrialOutcome outcome;
-  /// Worker-serialized manifest bytes, written verbatim. Absent for
-  /// restored, coordinator-synthesized, and degraded in-process outcomes.
-  std::optional<std::string> wire_line;
-};
-
 }  // namespace
 
 CampaignResult run_distributed_campaign(const CampaignConfig& config,
                                         const DistributedOptions& options) {
   if (options.worker_argv.empty())
     throw std::runtime_error("distributed campaign: worker_argv is empty");
-  const std::size_t worker_count = std::max<std::size_t>(1, options.workers);
-  const std::string config_hex = campaign_detail::config_hex(config);
-  const auto is_cancelled = [&config] {
-    return config.cancel != nullptr && config.cancel->load(std::memory_order_relaxed);
-  };
-
-  campaign_detail::ManifestRead manifest_read;
-  if (!config.manifest_path.empty())
-    manifest_read = campaign_detail::read_resume_manifest(config.manifest_path,
-                                                          config_hex, config.trials);
-
-  // Everything finished but not yet committed, keyed by trial index; the
-  // commit loop drains the contiguous prefix so the manifest stays ordered.
-  std::map<std::size_t, ReadyOutcome> ready;
-  for (auto& [index, outcome] : manifest_read.restored)
-    ready.emplace(index, ReadyOutcome{std::move(outcome), std::nullopt});
-
-  std::deque<TrialWork> pending;
-  for (std::size_t i = 0; i < config.trials; ++i)
-    if (!ready.contains(i)) {
-      TrialWork work;
-      work.index = i;
-      pending.push_back(std::move(work));
-    }
-
-  campaign_detail::Committer committer(config, config_hex, worker_count);
-  std::size_t next_commit = 0;
+  campaign_detail::Executor executor(config, options.workers);
+  const std::string& config_hex = executor.config_hex();
+  std::vector<PendingTrial> pending = executor.pending();
 
   std::size_t workers_lost = 0;
   std::size_t worker_restarts = 0;
   std::size_t reassigned_trials = 0;
-  std::uint64_t reassignment_latency_ns = 0;
   bool degraded = false;
-  bool interrupted = false;
   std::size_t results_received = 0;
   bool kill_fired = false;
 
   ScopedSigpipeIgnore sigpipe_guard;
-  std::vector<Slot> slots(worker_count);
+  std::vector<Slot> slots(executor.workers());
 
-  const auto commit_contiguous = [&] {
-    for (auto it = ready.find(next_commit); it != ready.end();
-         it = ready.find(next_commit)) {
-      ReadyOutcome r = std::move(it->second);
-      ready.erase(it);
-      committer.commit(std::move(r.outcome), r.wire_line ? &*r.wire_line : nullptr);
-      ++next_commit;
-    }
-  };
-
-  const auto synthesize_poison = [&](TrialWork& work, const std::string& cause) {
+  const auto synthesize_poison = [&](const PendingTrial& work, const std::string& cause) {
     TrialOutcome poison;
     poison.index = work.index;
     poison.seed = config.base_seed + work.index;
     poison.status = TrialStatus::kQuarantined;
     poison.reason = cause;
-    poison.attempts = work.attempts;
-    poison.worker_exit_status = work.last_exit_status;
-    poison.stderr_tail = work.last_stderr;
+    work.stamp_evidence(poison);
     PostmortemContext context;
     context.trial_index = work.index;
     context.seed = poison.seed;
@@ -147,7 +88,7 @@ CampaignResult run_distributed_campaign(const CampaignConfig& config,
     context.stderr_tail = work.last_stderr;
     audit::AuditReport no_report;
     poison.postmortem = render_postmortem(context, no_report, nullptr, nullptr, 0);
-    ready.emplace(work.index, ReadyOutcome{std::move(poison), std::nullopt});
+    executor.deliver(work.index, std::move(poison));
   };
 
   // Declare a worker dead: collect evidence, decide the in-flight trial's
@@ -163,7 +104,7 @@ CampaignResult run_distributed_campaign(const CampaignConfig& config,
     slot.proc.drain_stderr();
     ++workers_lost;
     if (slot.work) {
-      TrialWork work = std::move(*slot.work);
+      PendingTrial work = std::move(*slot.work);
       slot.work.reset();
       ++work.attempts;
       work.last_exit_status = slot.proc.exit_status();
@@ -225,25 +166,17 @@ CampaignResult run_distributed_campaign(const CampaignConfig& config,
         outcome.postmortem = std::move(msg.postmortem);
         // A reassigned trial that finally completed: its manifest bytes are
         // the worker's — identical to the serial line — so the earlier
-        // failed attempts leave no trace in the completed record.
-        TrialWork work = std::move(*slot.work);
+        // failed attempts leave no trace in the completed record. An in-sim
+        // quarantine keeps the worker's line only when the trial never
+        // bounced off a dead worker; otherwise it is re-serialized so the
+        // record carries the evidence.
+        const PendingTrial work = std::move(*slot.work);
         slot.work.reset();
-        if (outcome.status == TrialStatus::kQuarantined) {
-          // In-sim quarantine on a healthy worker keeps the worker's line
-          // verbatim only when the trial never bounced off a dead worker;
-          // otherwise re-serialize so the record carries the evidence.
-          if (work.attempts > 0) {
-            outcome.attempts = work.attempts;
-            outcome.worker_exit_status = work.last_exit_status;
-            outcome.stderr_tail = work.last_stderr;
-            ready.emplace(work.index, ReadyOutcome{std::move(outcome), std::nullopt});
-          } else {
-            ready.emplace(work.index,
-                          ReadyOutcome{std::move(outcome), std::move(msg.manifest_line)});
-          }
+        if (outcome.status == TrialStatus::kQuarantined && work.attempts > 0) {
+          work.stamp_evidence(outcome);
+          executor.deliver(work.index, std::move(outcome));
         } else {
-          ready.emplace(work.index,
-                        ReadyOutcome{std::move(outcome), std::move(msg.manifest_line)});
+          executor.deliver(work.index, std::move(outcome), std::move(msg.manifest_line));
         }
         slot.state = Slot::State::kIdle;
         slot.last_heartbeat = now;
@@ -258,16 +191,7 @@ CampaignResult run_distributed_campaign(const CampaignConfig& config,
     return true;
   };
 
-  // Lazily-built scratch Obs for the degraded in-process path.
-  std::optional<obs::Obs> degraded_scratch;
-  const bool want_scratch_obs =
-      config.collect_telemetry && config.scenario.obs == nullptr;
-
-  while (next_commit < config.trials) {
-    if (is_cancelled()) {
-      interrupted = true;
-      break;
-    }
+  while (!executor.done() && !executor.cancelled()) {
     const Clock::time_point now = Clock::now();
 
     // Respawn dead slots while reassignable work exists.
@@ -317,14 +241,9 @@ CampaignResult run_distributed_campaign(const CampaignConfig& config,
         if (best == pending.end() || it->index < best->index) best = it;
       }
       if (best == pending.end()) break;  // nothing eligible yet for anyone
-      TrialWork work = std::move(*best);
+      PendingTrial work = std::move(*best);
       pending.erase(best);
-      if (work.failed_at) {
-        reassignment_latency_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(now - *work.failed_at)
-                .count());
-        work.failed_at.reset();
-      }
+      executor.restart(work);
       if (!slot.proc.write_all(
               encode_frame(FrameType::kAssign, encode_assign(work.index)))) {
         slot.work = std::move(work);  // fail_worker reassigns or poisons it
@@ -348,34 +267,12 @@ CampaignResult run_distributed_campaign(const CampaignConfig& config,
     });
     if (fleet_dead && !pending.empty()) {
       degraded = true;
-      std::sort(pending.begin(), pending.end(),
-                [](const TrialWork& a, const TrialWork& b) { return a.index < b.index; });
-      if (want_scratch_obs && !degraded_scratch)
-        degraded_scratch.emplace(campaign_detail::trial_obs_config(config));
-      while (!pending.empty()) {
-        if (is_cancelled()) {
-          interrupted = true;
-          break;
-        }
-        TrialWork work = std::move(pending.front());
-        pending.pop_front();
-        TrialOutcome outcome = campaign_detail::run_trial(
-            config, work.index, config_hex,
-            degraded_scratch ? &*degraded_scratch : nullptr);
-        if (outcome.status == TrialStatus::kQuarantined) {
-          outcome.attempts = work.attempts;
-          outcome.worker_exit_status = work.last_exit_status;
-          outcome.stderr_tail = work.last_stderr;
-        }
-        ready.emplace(work.index, ReadyOutcome{std::move(outcome), std::nullopt});
-      }
-      commit_contiguous();
-      if (interrupted) break;
-      continue;
+      // Nothing is in flight, so the in-thread backend runs every trial
+      // left; it returns early only when cancelled.
+      executor.run_in_thread(std::move(pending));
+      break;
     }
-
-    commit_contiguous();
-    if (next_commit >= config.trials) break;
+    if (executor.done()) break;  // a poisoned trial may have been the last
 
     // Poll deadline: the earliest of every timer the loop owes a check —
     // heartbeat expiries, trial deadlines, reassignment and respawn
@@ -393,7 +290,7 @@ CampaignResult run_distributed_campaign(const CampaignConfig& config,
       if (slot.state == Slot::State::kBusy && options.trial_deadline.count() > 0)
         consider(slot.trial_start + options.trial_deadline);
     }
-    for (const TrialWork& work : pending) consider(work.eligible_at);
+    for (const PendingTrial& work : pending) consider(work.eligible_at);
     int timeout_ms = static_cast<int>(
         std::chrono::duration_cast<std::chrono::milliseconds>(wake - now).count());
     timeout_ms = std::clamp(timeout_ms, 1, 200);
@@ -454,8 +351,6 @@ CampaignResult run_distributed_campaign(const CampaignConfig& config,
           after - slot.trial_start > options.trial_deadline)
         fail_worker(slot, "trial deadline exceeded");
     }
-
-    commit_contiguous();
   }
 
   // Orderly teardown: ask politely, then make sure.
@@ -466,13 +361,10 @@ CampaignResult run_distributed_campaign(const CampaignConfig& config,
     slot.proc.reap(/*grace_ms=*/500);
   }
 
-  CampaignResult result = committer.finish();
-  result.interrupted = interrupted;
-  result.manifest_torn_lines = manifest_read.torn_lines;
+  CampaignResult result = executor.finish();
   result.workers_lost = workers_lost;
   result.worker_restarts = worker_restarts;
   result.reassigned_trials = reassigned_trials;
-  result.reassignment_latency_ns = reassignment_latency_ns;
   result.degraded_to_in_process = degraded;
   return result;
 }

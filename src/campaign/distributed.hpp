@@ -1,13 +1,13 @@
-// Distributed campaign coordinator: crash-tolerant execution of a
-// CampaignConfig across separate worker child processes.
+// Distributed campaign coordinator: the process backend of the campaign
+// executor (campaign_detail::Executor, core/campaign.hpp).
 //
-// The coordinator owns everything order-sensitive — the resume manifest,
-// the aggregate folds, the quarantine ledger — through the same ordered
-// Committer the in-process pool uses, so results are byte-identical with
-// the serial path at any worker count. Workers own the trials: each is a
-// child process (see worker.hpp) fed assignments over the length-prefixed
-// pipe protocol (protocol.hpp) and answering with its own serialized
-// manifest line, which the coordinator writes verbatim.
+// The executor owns everything order-sensitive — the resume manifest, the
+// pending list, the ordered commit, the aggregate folds — exactly as for the
+// in-thread and thread backends, so results are byte-identical with the
+// serial path at any worker count. This backend only runs trials: each
+// worker is a child process (see worker.hpp) fed assignments over the
+// length-prefixed pipe protocol (protocol.hpp) and answering with its own
+// serialized manifest line, which the executor writes verbatim.
 //
 // The failure plane (DESIGN.md §14):
 //   detect    pipe EOF (fast death), heartbeat timeout (stuck process),
@@ -21,9 +21,10 @@
 //             exit status, stderr tail) instead of livelocking the fleet
 //   restart   dead worker slots respawn with exponential backoff up to
 //             max_worker_restarts times each
-//   degrade   a fully-dead fleet with restarts exhausted falls back to
-//             running the remaining trials in-process — the study
-//             completes, it does not abort
+//   degrade   a fully-dead fleet with restarts exhausted hands the
+//             remaining trials to the in-thread backend, which commits
+//             each before running the next — the study completes, it
+//             does not abort
 #pragma once
 
 #include <chrono>
@@ -41,7 +42,8 @@ struct DistributedOptions {
   /// CampaignConfig (the hello handshake verifies the config digest).
   std::vector<std::string> worker_argv;
 
-  /// Worker process count (clamped to >= 1).
+  /// Worker process count, resolved as CampaignConfig::workers is: 0 = one
+  /// per hardware thread, and never more than the trials still pending.
   std::size_t workers = 4;
 
   /// Worker attempts a trial may consume before it is quarantined poison.

@@ -7,14 +7,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 
 #include <unistd.h>
 
 #include "campaign/protocol.hpp"
-#include "obs/obs.hpp"
 
 namespace streamlab::campaign {
 namespace {
@@ -117,11 +115,9 @@ int run_campaign_worker(const CampaignConfig& config) {
     if (heartbeat.joinable()) heartbeat.join();
   };
 
-  // One reusable scratch Obs across assignments — identical to a pool
-  // worker thread, so trial bytes match the serial path exactly.
-  std::optional<obs::Obs> scratch;
-  if (config.collect_telemetry && config.scenario.obs == nullptr)
-    scratch.emplace(campaign_detail::trial_obs_config(config));
+  // One runner across assignments, as on a pool thread, so trial bytes
+  // match the serial path exactly.
+  campaign_detail::TrialRunner runner(config, config_hex);
 
   FrameReader reader;
   Frame frame;
@@ -180,8 +176,7 @@ int run_campaign_worker(const CampaignConfig& config) {
         break;
     }
 
-    TrialOutcome outcome = campaign_detail::run_trial(
-        config, static_cast<std::size_t>(index), config_hex, scratch ? &*scratch : nullptr);
+    TrialOutcome outcome = runner.run(static_cast<std::size_t>(index));
 
     ResultMsg msg;
     msg.index = index;

@@ -1,9 +1,8 @@
 // Distributed campaign worker: the child-process half of the coordinator/
 // worker split. run_campaign_worker() speaks the campaign::protocol over
 // stdin/stdout — hello handshake, assignment loop, heartbeats — and runs
-// each assigned trial with exactly the machinery an in-process pool worker
-// uses (campaign_detail::run_trial + a reusable scratch Obs), serializing
-// the outcome with the same manifest codec. The coordinator writes those
+// each assigned trial with the campaign_detail::TrialRunner every backend
+// uses, serializing the outcome with the same manifest codec. The coordinator writes those
 // bytes verbatim, which is what keeps a distributed campaign's manifest
 // byte-identical with the serial path.
 //

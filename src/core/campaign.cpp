@@ -1,5 +1,6 @@
 #include "core/campaign.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -300,17 +301,8 @@ obs::TrialTelemetry snapshot_trial(const TrialOutcome& t, const ClipInfo& clip,
 
 }  // namespace
 
-namespace campaign_detail {
-
-obs::Obs::Config trial_obs_config(const CampaignConfig& config) {
-  obs::Obs::Config obs_config;
-  obs_config.trace_capacity =
-      config.flight_recorder_records > 0 ? config.flight_recorder_records : 1;
-  return obs_config;
-}
-
-TrialOutcome run_trial(const CampaignConfig& config, std::size_t index,
-                       const std::string& config_hex, obs::Obs* scratch_obs) {
+TrialOutcome campaign_detail::TrialRunner::run(std::size_t index) {
+  const CampaignConfig& config = config_;
   TrialOutcome t;
   t.index = index;
   t.seed = config.base_seed + index;
@@ -320,15 +312,10 @@ TrialOutcome run_trial(const CampaignConfig& config, std::size_t index,
   audit::DeterminismProbe probe;
   probe.enable_recording(config.verify_determinism);
 
-  // Scratch Obs: metric snapshot source + flight-recorder tail. Each worker
-  // owns one and resets it between trials, so registry maps and the intern
-  // table are built once per worker, not once per trial — the reset restores
-  // the exact just-constructed state, keeping trial output byte-identical to
-  // a fresh Obs. Runs that pass their own scenario.obs keep the legacy
-  // single-run contract.
-  const bool collect = config.collect_telemetry &&
-                       config.scenario.obs == nullptr && scratch_obs != nullptr;
-  obs::Obs* trial_obs = collect ? scratch_obs : nullptr;
+  // The reset restores the scratch Obs's just-constructed state, so trial
+  // output is byte-identical to a fresh Obs.
+  obs::Obs* trial_obs = scratch_ ? &*scratch_ : nullptr;
+  const bool collect = trial_obs != nullptr;
   if (collect) trial_obs->reset_for_reuse();
 
   TurbulenceScenarioConfig scenario = config.scenario;
@@ -397,7 +384,7 @@ TrialOutcome run_trial(const CampaignConfig& config, std::size_t index,
     context.trial_index = t.index;
     context.seed = t.seed;
     context.reason = t.reason;
-    context.config_hex = config_hex;
+    context.config_hex = config_hex_;
     context.sim_events = t.sim_events;
     context.budget_exhausted = t.budget_exhausted;
     t.postmortem = render_postmortem(context, auditor.report(), trial_obs,
@@ -409,6 +396,22 @@ TrialOutcome run_trial(const CampaignConfig& config, std::size_t index,
                                              .count());
   return t;
 }
+
+namespace {
+
+std::size_t resolve_workers(std::size_t requested, std::size_t pending) {
+  std::size_t n = requested;
+  if (n == 0) {
+    n = std::thread::hardware_concurrency();
+    if (n == 0) n = 1;  // hardware_concurrency may be unknowable
+  }
+  if (n > pending) n = pending;
+  return n == 0 ? 1 : n;
+}
+
+}  // namespace
+
+namespace campaign_detail {
 
 ManifestRead read_resume_manifest(const std::string& path, const std::string& config_hex,
                                   std::size_t max_trials, bool repair_in_place) {
@@ -483,24 +486,88 @@ ManifestRead read_resume_manifest(const std::string& path, const std::string& co
   return out;
 }
 
-Committer::Committer(const CampaignConfig& config, std::string config_hex,
-                     std::size_t workers)
-    : config_(config),
-      config_hex_(std::move(config_hex)),
-      workers_(workers),
-      start_(std::chrono::steady_clock::now()) {
-  if (!config_.manifest_path.empty()) {
-    manifest_.open(config_.manifest_path, std::ios::app);
-    if (!manifest_)
-      throw std::runtime_error("cannot open resume manifest for append: " +
-                               config_.manifest_path);
+TrialRunner::TrialRunner(const CampaignConfig& config, std::string config_hex)
+    : config_(config), config_hex_(std::move(config_hex)) {
+  // Registry maps and the intern table are built on the first trial; later
+  // trials only reset values. A scenario that brings its own Obs keeps the
+  // single-run contract and gets no scratch.
+  if (config.collect_telemetry && config.scenario.obs == nullptr) {
+    obs::Obs::Config obs_config;
+    obs_config.trace_capacity =
+        config.flight_recorder_records > 0 ? config.flight_recorder_records : 1;
+    scratch_.emplace(obs_config);
   }
-  postmortem_prefix_ = config_.postmortem_prefix;
-  if (postmortem_prefix_.empty() && !config_.manifest_path.empty())
-    postmortem_prefix_ = config_.manifest_path + ".postmortem-";
 }
 
-void Committer::commit(TrialOutcome outcome, const std::string* wire_line) {
+void PendingTrial::stamp_evidence(TrialOutcome& outcome) const {
+  outcome.attempts = attempts;
+  outcome.worker_exit_status = last_exit_status;
+  outcome.stderr_tail = last_stderr;
+}
+
+Executor::Executor(const CampaignConfig& config, std::size_t workers)
+    : config_(config), config_hex_(campaign_detail::config_hex(config)) {
+  // Restore finished trials from an existing manifest (resume), tolerating
+  // — and truncating away — a torn trailing line from a mid-write crash.
+  ManifestRead resumed;
+  if (!config.manifest_path.empty())
+    resumed = read_resume_manifest(config.manifest_path, config_hex_, config.trials);
+  result_.manifest_torn_lines = resumed.torn_lines;
+  pending_.reserve(config.trials - resumed.restored.size());
+  for (std::size_t i = 0; i < config.trials; ++i)
+    if (!resumed.restored.contains(i)) pending_.emplace_back().index = i;
+  workers_ = resolve_workers(workers, pending_.size());
+
+  if (!config.manifest_path.empty()) {
+    manifest_.open(config.manifest_path, std::ios::app);
+    if (!manifest_)
+      throw std::runtime_error("cannot open resume manifest for append: " +
+                               config.manifest_path);
+  }
+  postmortem_prefix_ = config.postmortem_prefix;
+  if (postmortem_prefix_.empty() && !config.manifest_path.empty())
+    postmortem_prefix_ = config.manifest_path + ".postmortem-";
+  start_ = std::chrono::steady_clock::now();
+  for (auto& [index, outcome] : resumed.restored) deliver(index, std::move(outcome));
+}
+
+bool Executor::cancelled() const {
+  return config_.cancel != nullptr && config_.cancel->load(std::memory_order_relaxed);
+}
+
+void Executor::deliver(std::size_t index, TrialOutcome outcome,
+                       std::optional<std::string> wire_line) {
+  ready_.emplace(index, Ready{std::move(outcome), std::move(wire_line)});
+  for (auto it = ready_.find(committed_); it != ready_.end(); it = ready_.find(committed_)) {
+    Ready next = std::move(it->second);
+    ready_.erase(it);
+    commit(std::move(next));
+  }
+}
+
+void Executor::restart(const PendingTrial& trial) {
+  if (trial.failed_at)
+    result_.reassignment_latency_ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
+                                                             *trial.failed_at)
+            .count());
+}
+
+void Executor::run_in_thread(std::vector<PendingTrial> trials) {
+  std::sort(trials.begin(), trials.end(),
+            [](const PendingTrial& a, const PendingTrial& b) { return a.index < b.index; });
+  TrialRunner runner(config_, config_hex_);
+  for (const PendingTrial& trial : trials) {
+    if (cancelled()) return;
+    restart(trial);
+    TrialOutcome outcome = runner.run(trial.index);
+    if (outcome.status == TrialStatus::kQuarantined) trial.stamp_evidence(outcome);
+    deliver(trial.index, std::move(outcome));
+  }
+}
+
+void Executor::commit(Ready ready) {
+  TrialOutcome& outcome = ready.outcome;
   if (outcome.from_manifest) {
     ++result_.resumed;
   } else {
@@ -508,7 +575,7 @@ void Committer::commit(TrialOutcome outcome, const std::string* wire_line) {
       // One line per finished trial, flushed as soon as every *earlier*
       // trial's line is down: a campaign killed mid-run resumes from the
       // first trial with no line, and lines never appear out of order.
-      manifest_ << (wire_line != nullptr ? *wire_line : manifest_line(outcome, config_hex_))
+      manifest_ << (ready.wire_line ? *ready.wire_line : manifest_line(outcome, config_hex_))
                 << '\n'
                 << std::flush;
     }
@@ -537,12 +604,11 @@ void Committer::commit(TrialOutcome outcome, const std::string* wire_line) {
   result_.trials.push_back(std::move(outcome));
   ++committed_;
 
-  const std::size_t done = committed_;
   if (config_.progress_hook && config_.progress_every > 0 &&
-      (done % config_.progress_every == 0 || done == config_.trials)) {
+      (committed_ % config_.progress_every == 0 || done())) {
     CampaignProgress p;
     p.trials_total = config_.trials;
-    p.trials_done = done;
+    p.trials_done = committed_;
     p.completed = result_.completed;
     p.quarantined = result_.quarantined;
     p.resumed = result_.resumed;
@@ -553,7 +619,7 @@ void Committer::commit(TrialOutcome outcome, const std::string* wire_line) {
     p.wall_seconds = elapsed_ns / 1e9;
     if (fresh_done_ > 0 && elapsed_ns > 0.0) {
       p.trials_per_sec = static_cast<double>(fresh_done_) / p.wall_seconds;
-      p.eta_seconds = static_cast<double>(config_.trials - done) / p.trials_per_sec;
+      p.eta_seconds = static_cast<double>(config_.trials - committed_) / p.trials_per_sec;
       p.worker_utilization =
           static_cast<double>(busy_ns_) / (elapsed_ns * static_cast<double>(workers_));
       if (p.worker_utilization > 1.0) p.worker_utilization = 1.0;
@@ -563,7 +629,10 @@ void Committer::commit(TrialOutcome outcome, const std::string* wire_line) {
   }
 }
 
-CampaignResult Committer::finish() { return std::move(result_); }
+CampaignResult Executor::finish() {
+  result_.interrupted = !done();
+  return std::move(result_);
+}
 
 }  // namespace campaign_detail
 
@@ -640,137 +709,73 @@ std::uint64_t campaign_config_digest(const CampaignConfig& config) {
   return d.h;
 }
 
-std::size_t resolve_workers(const CampaignConfig& config, std::size_t pending) {
-  std::size_t n = config.workers;
-  if (n == 0) {
-    n = std::thread::hardware_concurrency();
-    if (n == 0) n = 1;  // hardware_concurrency may be unknowable
-  }
-  if (n > pending) n = pending;
-  return n == 0 ? 1 : n;
-}
+namespace {
 
-CampaignResult run_campaign(const CampaignConfig& config) {
-  const std::string config_hex = campaign_detail::config_hex(config);
-  const auto is_cancelled = [&config] {
-    return config.cancel != nullptr && config.cancel->load(std::memory_order_relaxed);
-  };
-
-  // Restore finished trials from an existing manifest (resume), tolerating
-  // — and truncating away — a torn trailing line from a mid-write crash.
-  campaign_detail::ManifestRead manifest_read;
-  if (!config.manifest_path.empty())
-    manifest_read = campaign_detail::read_resume_manifest(config.manifest_path,
-                                                          config_hex, config.trials);
-  std::map<std::size_t, TrialOutcome>& restored = manifest_read.restored;
-
-  // Trials still to run, in index order (the claim order of the pool).
-  std::vector<std::size_t> pending;
-  pending.reserve(config.trials);
-  for (std::size_t i = 0; i < config.trials; ++i)
-    if (!restored.contains(i)) pending.push_back(i);
-
-  const std::size_t workers = resolve_workers(config, pending.size());
-  // An Obs context is thread-confined and single-run; two concurrent trials
-  // writing one registry/tracer would race. Campaigns were already told to
-  // leave `obs` unset (SimTime restarts per trial) — under a parallel pool
-  // that advice becomes a hard requirement, rejected up front.
-  if (config.scenario.obs != nullptr && workers > 1)
-    throw std::runtime_error(
-        "campaign: scenario.obs cannot be shared across concurrent trials; "
-        "run with workers=1 or leave obs unset");
-
-  campaign_detail::Committer committer(config, config_hex, workers);
-
-  // Worker pool. Each worker claims the next pending index, runs the trial
-  // entirely on its own thread (run_trial contains every exception inside
-  // the outcome), and parks the result in `finished`. The coordinator below
-  // consumes outcomes strictly in index order, so everything order-sensitive
-  // — manifest lines, aggregate folds, quarantine counts — is identical to a
-  // serial run. With workers == 1 no thread is spawned at all.
-  std::vector<std::optional<TrialOutcome>> finished(config.trials);
-  std::mutex mu;
-  std::condition_variable trial_done;
+/// The thread backend: `workers` pool threads claim pending trials in index
+/// order, each with its own TrialRunner, and park their outcomes; the
+/// calling thread delivers them, so every commit stays off the pool.
+void run_on_threads(campaign_detail::Executor& executor) {
+  const std::vector<campaign_detail::PendingTrial>& pending = executor.pending();
   std::atomic<std::size_t> next_claim{0};
-  std::size_t workers_alive = 0;  // guarded by mu
-  const bool want_scratch_obs =
-      config.collect_telemetry && config.scenario.obs == nullptr;
+  std::mutex mu;
+  std::condition_variable parked;
+  std::vector<TrialOutcome> inbox;          // guarded by mu
+  std::size_t running = executor.workers();  // guarded by mu
   const auto worker_body = [&] {
-    // One reusable Obs per worker thread: registry maps and the intern table
-    // are built on the first trial, later trials only reset values.
-    std::optional<obs::Obs> scratch;
-    if (want_scratch_obs) scratch.emplace(campaign_detail::trial_obs_config(config));
-    while (!is_cancelled()) {
+    campaign_detail::TrialRunner runner(executor.config(), executor.config_hex());
+    while (!executor.cancelled()) {
       const std::size_t k = next_claim.fetch_add(1, std::memory_order_relaxed);
       if (k >= pending.size()) break;
-      const std::size_t index = pending[k];
-      TrialOutcome outcome = campaign_detail::run_trial(config, index, config_hex,
-                                                        scratch ? &*scratch : nullptr);
+      TrialOutcome outcome = runner.run(pending[k].index);
       {
         std::lock_guard<std::mutex> lock(mu);
-        finished[index] = std::move(outcome);
+        inbox.push_back(std::move(outcome));
       }
-      trial_done.notify_all();
+      parked.notify_one();
     }
     {
       std::lock_guard<std::mutex> lock(mu);
-      --workers_alive;
+      --running;
     }
-    // The coordinator's cancellation predicate watches workers_alive.
-    trial_done.notify_all();
+    parked.notify_one();
   };
 
-  std::vector<std::thread> pool;
-  if (workers > 1) {
-    workers_alive = workers;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker_body);
-  }
+  std::vector<std::jthread> pool;
+  pool.reserve(executor.workers());
+  for (std::size_t w = 0; w < executor.workers(); ++w) pool.emplace_back(worker_body);
 
-  // The serial path runs trials on this thread; it gets the same reusable
-  // scratch Obs a pool worker would.
-  std::optional<obs::Obs> serial_scratch;
-  if (workers <= 1 && want_scratch_obs)
-    serial_scratch.emplace(campaign_detail::trial_obs_config(config));
-
-  bool interrupted = false;
-  for (std::size_t i = 0; i < config.trials; ++i) {
-    if (auto it = restored.find(i); it != restored.end()) {
-      committer.commit(std::move(it->second));
-      continue;
-    }
-    TrialOutcome outcome;
-    if (workers > 1) {
+  // A cancelled pool stops claiming; whatever finished is still delivered,
+  // and the executor commits its contiguous prefix.
+  std::vector<TrialOutcome> batch;
+  for (bool last = false; !last;) {
+    {
       std::unique_lock<std::mutex> lock(mu);
-      // A cancelled pool stops claiming; once every worker has parked, a
-      // trial with no outcome will never get one — that is where the
-      // interrupted campaign's manifest ends. Everything that did finish
-      // in contiguous order is still committed below.
-      trial_done.wait(lock, [&] {
-        return finished[i].has_value() || (is_cancelled() && workers_alive == 0);
-      });
-      if (!finished[i].has_value()) {
-        interrupted = true;
-        break;
-      }
-      outcome = std::move(*finished[i]);
-      finished[i].reset();
-    } else {
-      if (is_cancelled()) {
-        interrupted = true;
-        break;
-      }
-      outcome = campaign_detail::run_trial(config, i, config_hex,
-                                           serial_scratch ? &*serial_scratch : nullptr);
+      parked.wait(lock, [&] { return !inbox.empty() || running == 0; });
+      batch.swap(inbox);
+      last = running == 0;
     }
-    committer.commit(std::move(outcome));
+    for (TrialOutcome& outcome : batch) executor.deliver(outcome.index, std::move(outcome));
+    batch.clear();
   }
+}
 
-  for (std::thread& t : pool) t.join();
-  CampaignResult result = committer.finish();
-  result.interrupted = interrupted;
-  result.manifest_torn_lines = manifest_read.torn_lines;
-  return result;
+}  // namespace
+
+CampaignResult run_campaign(const CampaignConfig& config) {
+  campaign_detail::Executor executor(config, config.workers);
+  if (executor.workers() == 1) {
+    executor.run_in_thread(executor.pending());
+    return executor.finish();
+  }
+  // An Obs context is thread-confined and single-run; two concurrent trials
+  // writing one registry/tracer would race, so a shared one is rejected
+  // before any trial runs.
+  if (config.scenario.obs != nullptr)
+    throw std::runtime_error(
+        "campaign: scenario.obs cannot be shared across concurrent trials; "
+        "run with workers=1 or leave obs unset");
+  run_on_threads(executor);
+  return executor.finish();
 }
 
 }  // namespace streamlab

@@ -15,20 +15,15 @@
 // compares the replay digests event-for-event, reporting the index of the
 // first divergent event when the runs part ways (see audit::DeterminismProbe).
 //
-// Campaigns run their trials on a pool of `workers` threads. Trials share
+// One executor (campaign_detail::Executor) runs every campaign. Its
+// backends run trials on the calling thread, on a pool of `workers` threads,
+// or on worker processes (src/campaign/, DESIGN.md §14). Trials share
 // nothing — each owns a private EventLoop, Network, Rng, Auditor and
-// DeterminismProbe, all created and destroyed on its worker thread — and the
-// coordinator thread commits finished trials (manifest line, aggregate fold,
-// quarantine count) strictly in trial-index order, so the manifest bytes,
-// aggregate stats and quarantine records of a `workers=N` run are identical
-// to a `workers=1` run of the same config. See DESIGN.md §10 for the
-// isolation argument.
-//
-// The campaign_detail namespace at the bottom exposes the trial runner,
-// manifest codec and ordered-commit sink to the distributed
-// coordinator/worker layer (src/campaign/, DESIGN.md §14), which shards the
-// same trials across child *processes* while preserving the byte-identical
-// manifest contract.
+// DeterminismProbe — and the executor commits finished trials (manifest
+// line, aggregate fold, quarantine count) on the calling thread strictly in
+// trial-index order, so the manifest bytes, aggregate stats and quarantine
+// records are identical at any worker count and on any backend. See
+// DESIGN.md §10 for the isolation argument.
 #pragma once
 
 #include <atomic>
@@ -63,7 +58,8 @@ struct CampaignConfig {
   /// NDJSON resume manifest path; empty = no manifest (and no resume).
   std::string manifest_path;
   /// Worker threads running trials concurrently. 0 = one per hardware
-  /// thread; 1 = serial on the calling thread (the pre-parallel behaviour).
+  /// thread; 1 = serial on the calling thread. Never more than the trials
+  /// still pending.
   /// Results are committed in trial-index order regardless, so the manifest
   /// and aggregate are byte-identical across worker counts. Not part of the
   /// config digest: a manifest written serially resumes under any `workers`.
@@ -165,7 +161,7 @@ struct TrialMetrics {
 
 /// One row of the trial-metric schema: the manifest key, the TrialMetrics
 /// member it names (a counter, or a duration written in ns under an `_ns`
-/// key), and the per-session summand run_trial adds into it.
+/// key), and the per-session summand a trial run adds into it.
 struct TrialMetricField {
   using SessionValue = std::int64_t (*)(const SessionRecoveryMetrics&);
 
@@ -186,7 +182,7 @@ struct TrialMetricField {
   const char* key;
   std::uint64_t TrialMetrics::*count = nullptr;
   Duration TrialMetrics::*span = nullptr;
-  /// Null for the rows run_trial fills itself (sessions, reroutes, restores).
+  /// Null for the rows a trial run fills itself (sessions, reroutes, restores).
   SessionValue from_session = nullptr;
 };
 
@@ -306,11 +302,12 @@ struct CampaignResult {
   std::size_t workers_lost = 0;      ///< worker processes that died/hung
   std::size_t worker_restarts = 0;   ///< replacement workers spawned
   std::size_t reassigned_trials = 0; ///< assignments redone on a new worker
-  /// Total wall-clock ns between detecting a worker failure and committing
-  /// the affected trial's reassigned result (mean = / reassigned_trials).
+  /// Total wall-clock ns between detecting a worker failure and restarting
+  /// the affected trial, on another worker or on the coordinator
+  /// (mean = / reassigned_trials).
   std::uint64_t reassignment_latency_ns = 0;
   /// The whole fleet was lost and the remaining trials ran on the
-  /// coordinator's in-process pool instead of aborting the study.
+  /// coordinator's thread instead of aborting the study.
   bool degraded_to_in_process = false;
 
   bool ok() const { return quarantined == 0; }
@@ -330,10 +327,11 @@ std::uint64_t campaign_config_digest(const CampaignConfig& config);
 /// shared one across parallel trials would be a silent data race).
 CampaignResult run_campaign(const CampaignConfig& config);
 
-/// Shared internals of the campaign engine, exposed for the distributed
-/// coordinator/worker split (src/campaign/). Everything here is the *same
-/// code path* the in-process pool runs — that identity is what makes a
-/// distributed campaign's manifest byte-identical to a serial run.
+/// Shared internals of the campaign engine, exposed for the process backend
+/// (src/campaign/) and the tests. The worker process runs trials with the
+/// same TrialRunner and serializes them with the same codec the coordinator
+/// uses — that identity is what makes a distributed campaign's manifest
+/// byte-identical to a serial run.
 namespace campaign_detail {
 
 /// Formats campaign_config_digest(config) as the 16-digit lower-case hex
@@ -352,17 +350,6 @@ std::string manifest_line(const TrialOutcome& trial, const std::string& config_h
 TrialOutcome parse_manifest_line(const std::string& line, const std::string& config_hex,
                                  std::size_t line_no);
 
-/// Runs trial `index` exactly as a pool worker would: fresh auditor +
-/// determinism probe, quarantine judgment, salvage fold, telemetry
-/// snapshot, post-mortem rendering. `scratch_obs` may be null (telemetry
-/// off) or a reusable per-worker Obs shaped by trial_obs_config().
-TrialOutcome run_trial(const CampaignConfig& config, std::size_t index,
-                       const std::string& config_hex, obs::Obs* scratch_obs);
-
-/// Shape of the reusable per-worker scratch Obs (trace ring sized for the
-/// flight recorder).
-obs::Obs::Config trial_obs_config(const CampaignConfig& config);
-
 struct ManifestRead {
   std::map<std::size_t, TrialOutcome> restored;
   /// Torn trailing lines tolerated (0 or 1). A mid-write crash leaves a
@@ -378,31 +365,99 @@ struct ManifestRead {
 ManifestRead read_resume_manifest(const std::string& path, const std::string& config_hex,
                                   std::size_t max_trials, bool repair_in_place = true);
 
-/// Ordered-commit sink shared by the in-process pool and the distributed
-/// coordinator: opens the manifest for append, writes one line per fresh
-/// outcome (flushed immediately), folds the aggregate + telemetry, writes
-/// quarantine post-mortems, and drives the progress hook — all in strict
-/// trial-index order. Feed it outcome 0, 1, 2, ... exactly once each.
-class Committer {
+/// Runs trials of one campaign on the calling thread: a fresh auditor and
+/// determinism probe per trial, quarantine judgment, salvage fold,
+/// telemetry snapshot and post-mortem rendering. One runner per thread or
+/// process; its scratch Obs is built once and reset between trials.
+class TrialRunner {
  public:
-  /// Throws when the manifest cannot be opened for append. `workers` is
-  /// only reported through CampaignProgress.
-  Committer(const CampaignConfig& config, std::string config_hex, std::size_t workers);
+  TrialRunner(const CampaignConfig& config, std::string config_hex);
 
-  /// Commits the next trial in index order. `wire_line` supplies literal
-  /// manifest bytes to write instead of re-serializing `outcome` — the
-  /// distributed coordinator passes the worker's own line through verbatim.
-  /// Restored outcomes (from_manifest) fold without touching the manifest.
-  void commit(TrialOutcome outcome, const std::string* wire_line = nullptr);
-
-  std::size_t committed() const { return committed_; }
-  /// Hands the accumulated result over; the committer is spent afterwards.
-  CampaignResult finish();
+  TrialOutcome run(std::size_t index);
 
  private:
   const CampaignConfig& config_;
   std::string config_hex_;
+  /// Metric snapshot source and flight-recorder tail; absent when telemetry
+  /// is off or the scenario brings its own Obs.
+  std::optional<obs::Obs> scratch_;
+};
+
+/// A trial still to run. Everything but `index` stays zero until the trial
+/// bounces off a dead process worker.
+struct PendingTrial {
+  std::size_t index = 0;
+  std::uint32_t attempts = 0;  ///< process-worker attempts consumed so far
+  int last_exit_status = 0;
+  std::string last_stderr;
+  /// When the last worker holding it was declared dead — the start of the
+  /// reassignment-latency clock, stopped when the trial restarts.
+  std::optional<std::chrono::steady_clock::time_point> failed_at;
+  /// Reassignment backoff gate of the process backend.
+  std::chrono::steady_clock::time_point eligible_at{};
+
+  /// Copies the worker evidence onto a quarantined outcome, so its record
+  /// says how many workers the trial took down and how the last one died.
+  void stamp_evidence(TrialOutcome& outcome) const;
+};
+
+/// The campaign executor: the one ordered-commit loop behind every backend.
+/// It reads the resume manifest, lists the pending trials, opens the
+/// manifest for append, and commits finished trials on the calling thread
+/// strictly in index order: manifest line (flushed), aggregate and telemetry
+/// fold, quarantine post-mortem, progress hook. Backends only run trials and
+/// hand each result to deliver(), also on the calling thread:
+///   in-thread  run_in_thread(), each trial committed before the next runs
+///              (workers == 1, and a process fleet that died)
+///   threads    pool workers park outcomes for the calling thread (core)
+///   processes  worker children answer over pipes (src/campaign/)
+class Executor {
+ public:
+  /// Throws when the resume manifest belongs to another config or cannot be
+  /// parsed, or when it cannot be opened for append. `workers` (0 = one per
+  /// hardware thread) is capped at the pending trial count.
+  Executor(const CampaignConfig& config, std::size_t workers);
+
+  const CampaignConfig& config() const { return config_; }
+  const std::string& config_hex() const { return config_hex_; }
+  std::size_t workers() const { return workers_; }
+  /// Trials the manifest does not hold, in index order.
+  const std::vector<PendingTrial>& pending() const { return pending_; }
+  bool cancelled() const;
+  /// Every trial committed.
+  bool done() const { return committed_ == config_.trials; }
+
+  /// Parks trial `index`'s result and commits the contiguous prefix.
+  /// `wire_line` supplies literal manifest bytes to write instead of
+  /// re-serializing `outcome` — a worker process's own line, verbatim.
+  void deliver(std::size_t index, TrialOutcome outcome,
+               std::optional<std::string> wire_line = std::nullopt);
+
+  /// Stops `trial`'s reassignment-latency clock: it restarts now.
+  void restart(const PendingTrial& trial);
+
+  /// The in-thread backend: runs `trials` on the calling thread in index
+  /// order, each committed before the next starts, until cancelled.
+  void run_in_thread(std::vector<PendingTrial> trials);
+
+  /// Hands the result over; the executor is spent afterwards. `interrupted`
+  /// is set when a trial is left uncommitted.
+  CampaignResult finish();
+
+ private:
+  struct Ready {
+    TrialOutcome outcome;
+    std::optional<std::string> wire_line;
+  };
+
+  void commit(Ready ready);
+
+  const CampaignConfig& config_;
+  std::string config_hex_;
+  std::vector<PendingTrial> pending_;
   std::size_t workers_;
+  /// Finished but not yet committed, keyed by trial index.
+  std::map<std::size_t, Ready> ready_;
   std::ofstream manifest_;
   std::string postmortem_prefix_;
   CampaignResult result_;

@@ -183,6 +183,48 @@ TEST(Distributed, AllWorkersDeadDegradesToInProcess) {
   EXPECT_EQ(result.telemetry.summary(), serial.telemetry.summary());
 }
 
+// A degraded run is the in-thread backend: each trial commits (manifest
+// line flushed, progress hook fired) before the next one starts, so a crash
+// while degraded loses at most the trial in hand.
+TEST(Distributed, DegradedRunCommitsEachTrialBeforeTheNext) {
+  CampaignConfig cfg = tiny_campaign(4);
+  cfg.manifest_path = temp_manifest("degrade_order");
+  std::vector<std::string> log;
+  cfg.fault_hook = [&log](audit::Auditor&, std::size_t index, std::uint64_t) {
+    log.push_back("run " + std::to_string(index));
+  };
+  cfg.progress_every = 1;
+  cfg.progress_hook = [&log](const CampaignProgress& p) {
+    log.push_back("commit " + std::to_string(p.trials_done - 1));
+  };
+  DistributedOptions opts = fast_options(4, 2);
+  opts.worker_argv = {"/nonexistent/streamlab_worker_binary"};
+  opts.max_worker_restarts = 1;
+  const CampaignResult result = run_distributed_campaign(cfg, opts);
+
+  EXPECT_TRUE(result.degraded_to_in_process);
+  EXPECT_EQ(result.completed, 4u);
+  const std::vector<std::string> expected = {"run 0", "commit 0", "run 1", "commit 1",
+                                             "run 2", "commit 2", "run 3", "commit 3"};
+  EXPECT_EQ(log, expected);
+}
+
+// Latency runs from a worker's failure to the trial's restart, wherever it
+// restarts: here the only worker hangs on trial 0, cannot respawn, and the
+// trial restarts in-thread.
+TEST(Distributed, ReassignmentLatencyCountsTrialsRestartedInThread) {
+  CampaignConfig cfg = tiny_campaign(3);
+  DistributedOptions opts = fast_options(3, 1);
+  opts.worker_env = {{"STREAMLAB_WORKER_FAULT=hang-on-trial:0"}};
+  opts.trial_deadline = std::chrono::milliseconds(400);
+  opts.max_worker_restarts = 0;
+  const CampaignResult result = run_distributed_campaign(cfg, opts);
+  EXPECT_TRUE(result.degraded_to_in_process);
+  EXPECT_EQ(result.completed, 3u);
+  EXPECT_EQ(result.reassigned_trials, 1u);
+  EXPECT_GT(result.reassignment_latency_ns, 0u);
+}
+
 TEST(Distributed, HungTrialHitsDeadlineAndIsReassigned) {
   CampaignConfig cfg = tiny_campaign(3);
   DistributedOptions opts = fast_options(3, 2);
@@ -276,6 +318,33 @@ TEST(Distributed, ResumeSkipsCommittedTrialsAcrossModes) {
   EXPECT_EQ(result.completed, 5u);
   EXPECT_TRUE(result.ok());
   // And the re-grown manifest equals the uninterrupted serial run's.
+  EXPECT_EQ(slurp(cfg.manifest_path), full_manifest);
+}
+
+// `workers` means what it means for the thread pool: never more workers
+// than pending trials.
+TEST(Distributed, WorkerCountCappedAtPendingTrials) {
+  CampaignConfig full = tiny_campaign(3);
+  full.workers = 1;
+  full.manifest_path = temp_manifest("cap_full");
+  run_campaign(full);
+  const std::string full_manifest = slurp(full.manifest_path);
+
+  CampaignConfig cfg = tiny_campaign(3);
+  cfg.manifest_path = temp_manifest("cap_resume");
+  {
+    std::ofstream out(cfg.manifest_path, std::ios::binary);
+    out << full_manifest.substr(0, full_manifest.rfind('\n', full_manifest.size() - 2) + 1);
+  }
+  std::vector<std::size_t> workers_seen;
+  cfg.progress_every = 1;
+  cfg.progress_hook = [&workers_seen](const CampaignProgress& p) {
+    workers_seen.push_back(p.workers);
+  };
+  const CampaignResult result = run_distributed_campaign(cfg, fast_options(3, 4));
+  EXPECT_EQ(result.resumed, 2u);
+  EXPECT_EQ(result.completed, 3u);
+  EXPECT_EQ(workers_seen, (std::vector<std::size_t>{1, 1, 1}));
   EXPECT_EQ(slurp(cfg.manifest_path), full_manifest);
 }
 

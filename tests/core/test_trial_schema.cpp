@@ -150,7 +150,7 @@ TEST(TrialSchema, SalvageSumsEachRowFromItsSessionMetric) {
   config.scenario.repair_layer.fec_k = 4;
   config.scenario.repair_layer.nack = true;
   const TrialOutcome t =
-      campaign_detail::run_trial(config, 0, campaign_detail::config_hex(config), nullptr);
+      campaign_detail::TrialRunner(config, campaign_detail::config_hex(config)).run(0);
   ASSERT_EQ(t.status, TrialStatus::kCompleted) << t.reason;
   ASSERT_TRUE(t.result.has_value());
 
