@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "core/scenarios.hpp"
 #include "net/buffer.hpp"
 #include "net/fragmentation.hpp"
 #include "sim/network.hpp"
@@ -63,33 +64,12 @@ namespace {
 
 using namespace streamlab;
 
-/// Same shape as the campaign tests' tiny scenario: short clip, two hops,
-/// one mid-clip outage, so each trial exercises faults, recovery and
-/// fragmentation without dominating wall-clock.
+/// The catalog's tiny campaign: short clip, two hops, one mid-clip outage,
+/// so each trial exercises faults, recovery and fragmentation without
+/// dominating wall-clock.
 CampaignConfig bench_campaign_config(std::size_t trials, std::size_t workers) {
-  ClipInfo clip;
-  clip.data_set = 1;
-  clip.content = ContentClass::kNews;
-  clip.player = PlayerKind::kRealPlayer;
-  clip.tier = RateTier::kLow;
-  clip.encoded_rate = BitRate::kbps(33);
-  clip.advertised_rate = BitRate::kbps(56);
-  clip.length = Duration::seconds(5);
-
-  CampaignConfig config;
-  config.clip = clip;
-  config.trials = trials;
-  config.base_seed = 7000;
+  CampaignConfig config = tiny_campaign_config(trials, /*base_seed=*/7000);
   config.workers = workers;
-  config.scenario.path.hop_count = 2;
-  config.scenario.path.one_way_propagation = Duration::millis(5);
-  config.scenario.extra_sim_time = Duration::seconds(5);
-  FaultEpisode flap;
-  flap.kind = FaultKind::kOutage;
-  flap.start = SimTime::from_seconds(1.0);
-  flap.duration = Duration::millis(500);
-  flap.label = "flap";
-  config.scenario.episodes.push_back(flap);
   return config;
 }
 

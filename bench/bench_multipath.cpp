@@ -18,6 +18,7 @@
 
 #include <cstddef>
 
+#include "core/scenarios.hpp"
 #include "core/turbulence.hpp"
 #include "players/multipath.hpp"
 
@@ -40,25 +41,15 @@ ClipInfo bench_clip() {
 /// Detour topology + NACK repair, optionally striped. Mirrors the
 /// acceptance-test setup at bench length.
 TurbulenceScenarioConfig stripe_scenario(bool multipath, bool flaps) {
-  TurbulenceScenarioConfig cfg;
-  cfg.path.hop_count = 8;
-  cfg.path.one_way_propagation = Duration::millis(20);
-  cfg.seed = 42;
-  cfg.recovery.inactivity_timeout = Duration::seconds(8);
+  TurbulenceScenarioConfig cfg = lab_base_config();
   cfg.path.detour = DetourConfig{3, 4, 2, 10};
   cfg.repair = RouteRepairConfig{};
   cfg.repair_layer.nack = true;
   cfg.multipath.enabled = multipath;
   if (flaps) {
-    for (double start : {8.0, 18.0}) {
-      FaultEpisode down;
-      down.kind = FaultKind::kRouterDown;
-      down.router_index = 3;
-      down.start = SimTime::from_seconds(start);
-      down.duration = Duration::seconds(6);
-      down.label = "flap";
-      cfg.episodes.push_back(down);
-    }
+    for (const double start : {8.0, 18.0})
+      cfg.episodes.push_back(FaultEpisode::router_down(SimTime::from_seconds(start),
+                                                       Duration::seconds(6), 3, "flap"));
   }
   return cfg;
 }

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 
+#include "core/scenarios.hpp"
 #include "core/turbulence.hpp"
 
 namespace {
@@ -43,48 +44,32 @@ RepairLayerConfig repair_config() {
   return r;
 }
 
-/// The PR 1 burst-loss regimes: index 0 = mild (pi_bad ~7.4%, mean loss
-/// ~5.9%, mean burst 1.25), index 1 = harsh (pi_bad ~16.7%, mean loss ~10%,
-/// mean burst 4 — the lab and CI regime).
+/// The burst-loss regimes: index 0 = mild (pi_bad ~7.4%, mean loss ~5.9%,
+/// mean burst 1.25), index 1 = harsh (pi_bad ~16.7%, mean loss ~10%, mean
+/// burst 4 — the lab and CI regime).
 GilbertElliottConfig burst_regime(int index) {
   if (index == 0) return GilbertElliottConfig{0.02, 0.25, 0.0, 0.8};
   return GilbertElliottConfig{0.05, 0.25, 0.0, 0.6};
 }
 
 TurbulenceScenarioConfig burst_scenario(int regime, bool repaired) {
-  TurbulenceScenarioConfig cfg;
-  cfg.path.hop_count = 8;
-  cfg.path.one_way_propagation = Duration::millis(20);
-  cfg.seed = 42;
-  cfg.recovery.inactivity_timeout = Duration::seconds(8);
-  FaultEpisode burst;
-  burst.kind = FaultKind::kBurstLoss;
-  burst.start = SimTime::from_seconds(5.0);
-  burst.duration = Duration::seconds(20);
-  burst.gilbert = burst_regime(regime);
-  burst.label = regime == 0 ? "burst-mild" : "burst-harsh";
-  cfg.episodes.push_back(burst);
+  TurbulenceScenarioConfig cfg = lab_base_config();
+  cfg.episodes.push_back(FaultEpisode::burst_loss(SimTime::from_seconds(5.0),
+                                                  Duration::seconds(20), burst_regime(regime),
+                                                  regime == 0 ? "burst-mild" : "burst-harsh"));
   if (repaired) cfg.repair_layer = repair_config();
   return cfg;
 }
 
-/// The PR 5 chaos scenario: router 3 down for 10 s on a detour path with
-/// the route-repair control plane armed.
+/// The lab's chaos reroute at bench length: router 3 down for 10 s from
+/// t=10s on a detour path with the route-repair control plane armed, and
+/// no mirror.
 TurbulenceScenarioConfig chaos_scenario(bool repaired) {
-  TurbulenceScenarioConfig cfg;
-  cfg.path.hop_count = 8;
-  cfg.path.one_way_propagation = Duration::millis(20);
-  cfg.seed = 42;
-  cfg.recovery.inactivity_timeout = Duration::seconds(8);
+  TurbulenceScenarioConfig cfg = lab_base_config();
   cfg.path.detour = DetourConfig{3, 4, 2, 10};
   cfg.repair = RouteRepairConfig{};
-  FaultEpisode down;
-  down.kind = FaultKind::kRouterDown;
-  down.router_index = 3;
-  down.start = SimTime::from_seconds(10.0);
-  down.duration = Duration::seconds(10);
-  down.label = "router-down";
-  cfg.episodes.push_back(down);
+  cfg.episodes.push_back(
+      FaultEpisode::router_down(SimTime::from_seconds(10.0), Duration::seconds(10), 3));
   if (repaired) cfg.repair_layer = repair_config();
   return cfg;
 }

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "core/scenarios.hpp"
 #include "obs/aggregate.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
@@ -31,36 +32,16 @@ namespace {
 
 using namespace streamlab;
 
-/// Same tiny scenario as bench_campaign: two hops, one mid-clip outage.
+/// Same tiny campaign as bench_campaign: two hops, one mid-clip outage.
 /// Telemetry cost must be measured on the same trial the throughput
 /// baseline uses; clip length selects the stress (5 s) or paper-scale
 /// (60 s) variant.
 CampaignConfig bench_campaign_config(std::size_t trials, bool collect,
                                      std::int64_t clip_seconds = 5) {
-  ClipInfo clip;
-  clip.data_set = 1;
-  clip.content = ContentClass::kNews;
-  clip.player = PlayerKind::kRealPlayer;
-  clip.tier = RateTier::kLow;
-  clip.encoded_rate = BitRate::kbps(33);
-  clip.advertised_rate = BitRate::kbps(56);
-  clip.length = Duration::seconds(clip_seconds);
-
-  CampaignConfig config;
-  config.clip = clip;
-  config.trials = trials;
-  config.base_seed = 9000;
+  CampaignConfig config =
+      tiny_campaign_config(trials, /*base_seed=*/9000, Duration::seconds(clip_seconds));
   config.workers = 1;
   config.collect_telemetry = collect;
-  config.scenario.path.hop_count = 2;
-  config.scenario.path.one_way_propagation = Duration::millis(5);
-  config.scenario.extra_sim_time = Duration::seconds(5);
-  FaultEpisode flap;
-  flap.kind = FaultKind::kOutage;
-  flap.start = SimTime::from_seconds(1.0);
-  flap.duration = Duration::millis(500);
-  flap.label = "flap";
-  config.scenario.episodes.push_back(flap);
   return config;
 }
 

@@ -3,42 +3,22 @@
 // (bench_distrib_worker.cpp) must build byte-identical configs or the
 // hello digest handshake rejects the fleet.
 //
-// Same two-hop scenario as bench_campaign / bench_telemetry — one
-// mid-clip outage flap — but on the paper-scale 60 s clip: distribution
-// exists for minute-scale IMC trials, and on the 5 s stress clip the
-// per-fleet spawn cost would drown the signal being measured.
+// The catalog's tiny campaign, as in bench_campaign / bench_telemetry — two
+// hops, one mid-clip outage flap — but on the paper-scale 60 s clip:
+// distribution exists for minute-scale IMC trials, and on the 5 s stress
+// clip the per-fleet spawn cost would drown the signal being measured.
 #pragma once
 
 #include <cstddef>
 
-#include "core/campaign.hpp"
+#include "core/scenarios.hpp"
 
 namespace streamlab::bench_distrib {
 
 inline CampaignConfig campaign_config(std::size_t trials) {
-  ClipInfo clip;
-  clip.data_set = 1;
-  clip.content = ContentClass::kNews;
-  clip.player = PlayerKind::kRealPlayer;
-  clip.tier = RateTier::kLow;
-  clip.encoded_rate = BitRate::kbps(33);
-  clip.advertised_rate = BitRate::kbps(56);
-  clip.length = Duration::seconds(60);
-
-  CampaignConfig config;
-  config.clip = clip;
-  config.trials = trials;
-  config.base_seed = 9000;
+  CampaignConfig config =
+      tiny_campaign_config(trials, /*base_seed=*/9000, Duration::seconds(60));
   config.workers = 1;
-  config.scenario.path.hop_count = 2;
-  config.scenario.path.one_way_propagation = Duration::millis(5);
-  config.scenario.extra_sim_time = Duration::seconds(5);
-  FaultEpisode flap;
-  flap.kind = FaultKind::kOutage;
-  flap.start = SimTime::from_seconds(1.0);
-  flap.duration = Duration::millis(500);
-  flap.label = "flap";
-  config.scenario.episodes.push_back(flap);
   return config;
 }
 

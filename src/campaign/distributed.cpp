@@ -164,6 +164,9 @@ CampaignResult run_distributed_campaign(const CampaignConfig& config,
         }
         outcome.from_manifest = false;
         outcome.postmortem = std::move(msg.postmortem);
+        outcome.wall_ns = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(now - slot.trial_start)
+                .count());
         // A reassigned trial that finally completed: its manifest bytes are
         // the worker's — identical to the serial line — so the earlier
         // failed attempts leave no trace in the completed record. An in-sim

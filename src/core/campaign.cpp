@@ -21,6 +21,7 @@
 
 #include "core/flightrec.hpp"
 #include "obs/obs.hpp"
+#include "util/strings.hpp"
 
 namespace streamlab {
 namespace {
@@ -133,19 +134,16 @@ std::string json_text(std::string_view line, std::string_view key) {
   return out;
 }
 
-/// A number that is wholly a decimal in T's range — no sign on an unsigned
-/// T, no trailing bytes, no overflow — or, with base 16, a string of hex
-/// digits.
+/// A number that is wholly a decimal in T's range (see parse_number) or,
+/// with base 16, a string of hex digits.
 template <typename T>
 T json_number(std::string_view line, std::string_view key, int base = 10) {
   const std::string_view digits = json_value(line, key, base == 16);
-  const char* end = digits.data() + digits.size();
-  T v{};
-  const auto [stop, ec] = std::from_chars(digits.data(), end, v, base);
-  if (digits.empty() || ec != std::errc() || stop != end)
+  const std::optional<T> v = parse_number<T>(digits, base);
+  if (!v)
     throw std::runtime_error("bad number for \"" + std::string(key) + "\": '" +
                              std::string(digits) + "'");
-  return v;
+  return *v;
 }
 
 }  // namespace
@@ -631,6 +629,7 @@ void Executor::commit(Ready ready) {
 
 CampaignResult Executor::finish() {
   result_.interrupted = !done();
+  result_.workers = workers_;
   return std::move(result_);
 }
 

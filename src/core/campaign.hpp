@@ -294,6 +294,9 @@ struct CampaignResult {
   /// campaign killed mid-write leaves a truncated final NDJSON line, which
   /// is dropped with a warning and its trial re-run.
   std::size_t manifest_torn_lines = 0;
+  /// Workers the campaign ran on, after resolving 0 (one per hardware
+  /// thread) and capping at the pending trials.
+  std::size_t workers = 0;
 
   // --- Distributed-execution health (filled by run_distributed_campaign;
   // all zero for in-process campaigns). Operational evidence only — none

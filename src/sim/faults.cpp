@@ -31,6 +31,65 @@ const char* to_string(FaultKind kind) {
   return "unknown";
 }
 
+namespace {
+
+FaultEpisode episode(FaultKind kind, SimTime start, Duration duration, std::string label) {
+  FaultEpisode e;
+  e.kind = kind;
+  e.start = start;
+  e.duration = duration;
+  e.label = std::move(label);
+  return e;
+}
+
+}  // namespace
+
+FaultEpisode FaultEpisode::outage(SimTime start, Duration duration, std::string label) {
+  return episode(FaultKind::kOutage, start, duration, std::move(label));
+}
+
+FaultEpisode FaultEpisode::bandwidth_dip(SimTime start, Duration duration, BitRate bandwidth,
+                                         std::string label) {
+  FaultEpisode e = episode(FaultKind::kBandwidth, start, duration, std::move(label));
+  e.bandwidth = bandwidth;
+  return e;
+}
+
+FaultEpisode FaultEpisode::delay_spike(SimTime start, Duration duration, Duration extra_delay,
+                                       std::string label) {
+  FaultEpisode e = episode(FaultKind::kExtraDelay, start, duration, std::move(label));
+  e.extra_delay = extra_delay;
+  return e;
+}
+
+FaultEpisode FaultEpisode::burst_loss(SimTime start, Duration duration,
+                                      GilbertElliottConfig config, std::string label) {
+  FaultEpisode e = episode(FaultKind::kBurstLoss, start, duration, std::move(label));
+  e.gilbert = config;
+  return e;
+}
+
+FaultEpisode FaultEpisode::random_loss(SimTime start, Duration duration, double probability,
+                                       std::string label) {
+  FaultEpisode e = episode(FaultKind::kRandomLoss, start, duration, std::move(label));
+  e.loss_probability = probability;
+  return e;
+}
+
+FaultEpisode FaultEpisode::router_down(SimTime start, Duration duration, int router_index,
+                                       std::string label) {
+  FaultEpisode e = episode(FaultKind::kRouterDown, start, duration, std::move(label));
+  e.router_index = router_index;
+  return e;
+}
+
+FaultEpisode FaultEpisode::detour_down(SimTime start, Duration duration, int detour_index,
+                                       std::string label) {
+  FaultEpisode e = router_down(start, duration, detour_index, std::move(label));
+  e.detour = true;
+  return e;
+}
+
 FaultScheduler::~FaultScheduler() {
   finish();
   for (EventHandle& h : handles_) h.cancel();
@@ -50,82 +109,6 @@ void FaultScheduler::finish() {
 
 void FaultScheduler::add(FaultEpisode episode) {
   records_.push_back(EpisodeRecord{std::move(episode)});
-}
-
-void FaultScheduler::add_outage(SimTime start, Duration duration, std::string label) {
-  FaultEpisode e;
-  e.kind = FaultKind::kOutage;
-  e.start = start;
-  e.duration = duration;
-  e.label = std::move(label);
-  add(std::move(e));
-}
-
-void FaultScheduler::add_bandwidth(SimTime start, Duration duration, BitRate bandwidth,
-                                   std::string label) {
-  FaultEpisode e;
-  e.kind = FaultKind::kBandwidth;
-  e.start = start;
-  e.duration = duration;
-  e.bandwidth = bandwidth;
-  e.label = std::move(label);
-  add(std::move(e));
-}
-
-void FaultScheduler::add_extra_delay(SimTime start, Duration duration,
-                                     Duration extra_delay, std::string label) {
-  FaultEpisode e;
-  e.kind = FaultKind::kExtraDelay;
-  e.start = start;
-  e.duration = duration;
-  e.extra_delay = extra_delay;
-  e.label = std::move(label);
-  add(std::move(e));
-}
-
-void FaultScheduler::add_burst_loss(SimTime start, Duration duration,
-                                    GilbertElliottConfig config, std::string label) {
-  FaultEpisode e;
-  e.kind = FaultKind::kBurstLoss;
-  e.start = start;
-  e.duration = duration;
-  e.gilbert = config;
-  e.label = std::move(label);
-  add(std::move(e));
-}
-
-void FaultScheduler::add_random_loss(SimTime start, Duration duration, double probability,
-                                     std::string label) {
-  FaultEpisode e;
-  e.kind = FaultKind::kRandomLoss;
-  e.start = start;
-  e.duration = duration;
-  e.loss_probability = probability;
-  e.label = std::move(label);
-  add(std::move(e));
-}
-
-void FaultScheduler::add_router_down(SimTime start, Duration duration, int router_index,
-                                     std::string label) {
-  FaultEpisode e;
-  e.kind = FaultKind::kRouterDown;
-  e.start = start;
-  e.duration = duration;
-  e.router_index = router_index;
-  e.label = std::move(label);
-  add(std::move(e));
-}
-
-void FaultScheduler::add_detour_down(SimTime start, Duration duration, int detour_index,
-                                     std::string label) {
-  FaultEpisode e;
-  e.kind = FaultKind::kRouterDown;
-  e.start = start;
-  e.duration = duration;
-  e.router_index = detour_index;
-  e.detour = true;
-  e.label = std::move(label);
-  add(std::move(e));
 }
 
 void FaultScheduler::arm() {

@@ -92,6 +92,28 @@ struct FaultEpisode {
   SimTime end() const { return start + duration; }
   /// True when `t` falls inside [start, end).
   bool covers(SimTime t) const { return t >= start && t < end(); }
+
+  // Constructors for each episode shape. Times are exact SimTime/Duration
+  // values, so a script built from them carries no rounding.
+  static FaultEpisode outage(SimTime start, Duration duration, std::string label = "outage");
+  static FaultEpisode bandwidth_dip(SimTime start, Duration duration, BitRate bandwidth,
+                                    std::string label = "bandwidth");
+  static FaultEpisode delay_spike(SimTime start, Duration duration, Duration extra_delay,
+                                  std::string label = "delay");
+  static FaultEpisode burst_loss(SimTime start, Duration duration, GilbertElliottConfig config,
+                                 std::string label = "burst-loss");
+  static FaultEpisode random_loss(SimTime start, Duration duration, double probability,
+                                  std::string label = "random-loss");
+  /// Takes chain router `router_index` (Network::router) offline; needs a
+  /// FaultScheduler with a Network attached. Overlapping episodes on one
+  /// router nest: it returns online only when the last one ends.
+  static FaultEpisode router_down(SimTime start, Duration duration, int router_index,
+                                  std::string label = "router-down");
+  /// Like router_down, but `detour_index` names a router on the detour
+  /// branch (Network::detour_router). Chain and detour episodes on the same
+  /// index are independent.
+  static FaultEpisode detour_down(SimTime start, Duration duration, int detour_index,
+                                  std::string label = "detour-down");
 };
 
 /// Applies a scripted sequence of FaultEpisodes to one Link. Episodes are
@@ -122,28 +144,8 @@ class FaultScheduler {
   FaultScheduler& operator=(const FaultScheduler&) = delete;
   ~FaultScheduler();
 
-  /// Adds one episode; call before arm().
+  /// Adds one episode (see the FaultEpisode constructors); call before arm().
   void add(FaultEpisode episode);
-  // Convenience constructors for the common episode shapes.
-  void add_outage(SimTime start, Duration duration, std::string label = "outage");
-  void add_bandwidth(SimTime start, Duration duration, BitRate bandwidth,
-                     std::string label = "bandwidth");
-  void add_extra_delay(SimTime start, Duration duration, Duration extra_delay,
-                       std::string label = "delay");
-  void add_burst_loss(SimTime start, Duration duration, GilbertElliottConfig config,
-                      std::string label = "burst-loss");
-  void add_random_loss(SimTime start, Duration duration, double probability,
-                       std::string label = "random-loss");
-  /// Requires the Network-attached constructor; `router_index` names a chain
-  /// router (Network::router). Overlapping episodes on one router nest: it
-  /// returns online only when the last one ends.
-  void add_router_down(SimTime start, Duration duration, int router_index,
-                       std::string label = "router-down");
-  /// Like add_router_down, but `detour_index` names a router on the detour
-  /// branch (Network::detour_router). Overlapping episodes nest the same
-  /// way; chain and detour episodes on the same index are independent.
-  void add_detour_down(SimTime start, Duration duration, int detour_index,
-                       std::string label = "detour-down");
 
   /// Schedules every added episode on the event loop. Call exactly once,
   /// before the experiment runs past the first episode start.

@@ -1,8 +1,11 @@
 // Small string/formatting helpers shared by the report renderers.
 #pragma once
 
+#include <charconv>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace streamlab {
@@ -21,6 +24,16 @@ std::string_view trim(std::string_view s);
 bool starts_with(std::string_view s, std::string_view prefix);
 /// Joins items with a separator.
 std::string join(const std::vector<std::string>& items, std::string_view sep);
+/// All of `text` as a number in T's range: no sign on an unsigned T, no
+/// leading or trailing bytes, no overflow. Base 16 takes bare hex digits.
+template <typename T>
+std::optional<T> parse_number(std::string_view text, int base = 10) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value, base);
+  if (text.empty() || ec != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
 /// Renders a horizontal ASCII bar of proportional length (for bench output).
 std::string ascii_bar(double fraction, std::size_t width = 40);
 

@@ -345,7 +345,23 @@ TEST(Distributed, WorkerCountCappedAtPendingTrials) {
   EXPECT_EQ(result.resumed, 2u);
   EXPECT_EQ(result.completed, 3u);
   EXPECT_EQ(workers_seen, (std::vector<std::size_t>{1, 1, 1}));
+  EXPECT_EQ(result.workers, 1u);
   EXPECT_EQ(slurp(cfg.manifest_path), full_manifest);
+}
+
+TEST(Distributed, ProgressReportsWorkerUtilization) {
+  // Trials that come back from a worker process count their wall time as
+  // busy time, as pool threads' trials do.
+  CampaignConfig cfg = tiny_campaign(4);
+  double utilization = 0.0;
+  cfg.progress_every = 4;
+  cfg.progress_hook = [&utilization](const CampaignProgress& p) {
+    utilization = p.worker_utilization;
+  };
+  const CampaignResult result = run_distributed_campaign(cfg, fast_options(4, 2));
+  EXPECT_EQ(result.completed, 4u);
+  EXPECT_EQ(result.workers, 2u);
+  EXPECT_GT(utilization, 0.0);
 }
 
 TEST(Distributed, EmptyWorkerArgvThrows) {

@@ -1,43 +1,17 @@
-// Shared trial-shaping config for the distributed-campaign tests and the
-// campaign_worker_testbed binary. Coordinator (test process) and worker
-// (child process) must build byte-for-byte the same CampaignConfig — the
-// hello handshake compares config digests — so the one builder lives here.
+// The tiny campaign of the campaign tests and the campaign_worker_testbed
+// binary. Coordinator (test process) and worker (child process) must build
+// byte-for-byte the same CampaignConfig — the hello handshake compares
+// config digests — so both take it from the scenario catalog here.
 #pragma once
 
 #include <cstddef>
 
-#include "core/campaign.hpp"
+#include "core/scenarios.hpp"
 
 namespace streamlab::campaign_test {
 
-inline ClipInfo tiny_clip() {
-  ClipInfo clip;
-  clip.data_set = 1;
-  clip.content = ContentClass::kNews;
-  clip.player = PlayerKind::kRealPlayer;
-  clip.tier = RateTier::kLow;
-  clip.encoded_rate = BitRate::kbps(33);
-  clip.advertised_rate = BitRate::kbps(56);
-  clip.length = Duration::seconds(5);
-  return clip;
-}
-
 inline CampaignConfig tiny_campaign(std::size_t trials) {
-  CampaignConfig config;
-  config.clip = tiny_clip();
-  config.trials = trials;
-  config.base_seed = 100;
-  config.scenario.path.hop_count = 2;
-  config.scenario.path.one_way_propagation = Duration::millis(5);
-  config.scenario.extra_sim_time = Duration::seconds(5);
-  // One short outage mid-clip so every trial exercises the fault layer.
-  FaultEpisode flap;
-  flap.kind = FaultKind::kOutage;
-  flap.start = SimTime::from_seconds(1.0);
-  flap.duration = Duration::millis(500);
-  flap.label = "flap";
-  config.scenario.episodes.push_back(flap);
-  return config;
+  return tiny_campaign_config(trials, /*base_seed=*/100);
 }
 
 }  // namespace streamlab::campaign_test

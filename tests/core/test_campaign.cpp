@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/obs.hpp"
+#include "../campaign/tiny_campaign.hpp"
 
 #include <atomic>
 #include <chrono>
@@ -16,36 +17,7 @@
 namespace streamlab {
 namespace {
 
-/// A deliberately tiny clip so a 20-trial campaign stays fast.
-ClipInfo tiny_clip() {
-  ClipInfo clip;
-  clip.data_set = 1;
-  clip.content = ContentClass::kNews;
-  clip.player = PlayerKind::kRealPlayer;
-  clip.tier = RateTier::kLow;
-  clip.encoded_rate = BitRate::kbps(33);
-  clip.advertised_rate = BitRate::kbps(56);
-  clip.length = Duration::seconds(5);
-  return clip;
-}
-
-CampaignConfig tiny_campaign(std::size_t trials) {
-  CampaignConfig config;
-  config.clip = tiny_clip();
-  config.trials = trials;
-  config.base_seed = 100;
-  config.scenario.path.hop_count = 2;
-  config.scenario.path.one_way_propagation = Duration::millis(5);
-  config.scenario.extra_sim_time = Duration::seconds(5);
-  // One short outage mid-clip so every trial exercises the fault layer.
-  FaultEpisode flap;
-  flap.kind = FaultKind::kOutage;
-  flap.start = SimTime::from_seconds(1.0);
-  flap.duration = Duration::millis(500);
-  flap.label = "flap";
-  config.scenario.episodes.push_back(flap);
-  return config;
-}
+using campaign_test::tiny_campaign;
 
 std::string temp_manifest(const char* name) {
   std::string path = ::testing::TempDir() + "campaign_" + name + ".ndjson";
@@ -369,13 +341,9 @@ CampaignConfig repair_campaign(std::size_t trials) {
   // The tiny 33 kbps clip carries few packets, so the epoch spans the whole
   // trial and keeps both GE states lossy — every seed sees losses to repair.
   config.scenario.episodes.clear();
-  FaultEpisode burst;
-  burst.kind = FaultKind::kBurstLoss;
-  burst.start = SimTime::from_seconds(0.2);
-  burst.duration = Duration::seconds(12);
-  burst.gilbert = GilbertElliottConfig{0.3, 0.25, 0.1, 0.6};
-  burst.label = "burst-loss";
-  config.scenario.episodes.push_back(burst);
+  config.scenario.episodes.push_back(
+      FaultEpisode::burst_loss(SimTime::from_seconds(0.2), Duration::seconds(12),
+                               GilbertElliottConfig{0.3, 0.25, 0.1, 0.6}));
   config.scenario.repair_layer.fec_k = 8;
   config.scenario.repair_layer.fec_stride = 4;
   config.scenario.repair_layer.nack = true;

@@ -93,13 +93,8 @@ CampaignConfig tiny_chaos_campaign(std::size_t trials) {
   config.scenario.repair = RouteRepairConfig{};
   config.scenario.mirror_server = true;
   config.scenario.episodes.clear();
-  FaultEpisode down;
-  down.kind = FaultKind::kRouterDown;
-  down.router_index = 3;
-  down.start = SimTime::from_seconds(1.0);
-  down.duration = Duration::millis(1500);
-  down.label = "router-down";
-  config.scenario.episodes.push_back(down);
+  config.scenario.episodes.push_back(
+      FaultEpisode::router_down(SimTime::from_seconds(1.0), Duration::millis(1500), 3));
   return config;
 }
 
@@ -108,12 +103,8 @@ CampaignConfig tiny_repair_campaign(std::size_t trials) {
   CampaignConfig config = campaign_test::tiny_campaign(trials);
   config.scenario.repair_layer.fec_k = 8;
   config.scenario.repair_layer.nack = true;
-  FaultEpisode burst;
-  burst.kind = FaultKind::kBurstLoss;
-  burst.start = SimTime::from_seconds(1.5);
-  burst.duration = Duration::seconds(2);
-  burst.label = "burst";
-  config.scenario.episodes.push_back(burst);
+  config.scenario.episodes.push_back(FaultEpisode::burst_loss(
+      SimTime::from_seconds(1.5), Duration::seconds(2), GilbertElliottConfig{}, "burst"));
   return config;
 }
 

@@ -141,12 +141,9 @@ TEST(TrialSchema, SalvageSumsEachRowFromItsSessionMetric) {
   config.clip.length = Duration::seconds(5);
   config.scenario.path.hop_count = 2;
   config.scenario.extra_sim_time = Duration::seconds(5);
-  FaultEpisode burst;
-  burst.kind = FaultKind::kBurstLoss;
-  burst.start = SimTime::from_seconds(0.2);
-  burst.duration = Duration::seconds(4);
-  burst.gilbert = GilbertElliottConfig{0.3, 0.25, 0.1, 0.6};
-  config.scenario.episodes.push_back(burst);
+  config.scenario.episodes.push_back(
+      FaultEpisode::burst_loss(SimTime::from_seconds(0.2), Duration::seconds(4),
+                               GilbertElliottConfig{0.3, 0.25, 0.1, 0.6}));
   config.scenario.repair_layer.fec_k = 4;
   config.scenario.repair_layer.nack = true;
   const TrialOutcome t =

@@ -2,7 +2,8 @@
 // mid-stream link outage shorter than the delay buffer is survived, an
 // outage longer than the inactivity window is detected by the watchdog
 // (with the event loop draining, not hanging), and both runs replay
-// bit-identically under the same seed.
+// bit-identically under the same seed. Both are turbulence_lab's catalog
+// scenarios (core/scenarios.hpp).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,41 +11,11 @@
 #include <vector>
 
 #include "core/export.hpp"
+#include "core/scenarios.hpp"
 #include "core/turbulence.hpp"
 
 namespace streamlab {
 namespace {
-
-TurbulenceScenarioConfig scenario_config() {
-  TurbulenceScenarioConfig cfg;
-  cfg.path.hop_count = 8;
-  cfg.path.one_way_propagation = Duration::millis(20);
-  cfg.seed = 42;
-  cfg.recovery.inactivity_timeout = Duration::seconds(8);
-  return cfg;
-}
-
-TurbulenceScenarioConfig short_outage_config() {
-  TurbulenceScenarioConfig cfg = scenario_config();
-  FaultEpisode flap;
-  flap.kind = FaultKind::kOutage;
-  flap.start = SimTime::from_seconds(30.0);
-  flap.duration = Duration::seconds(4);  // well inside the 8 s window
-  flap.label = "short-flap";
-  cfg.episodes.push_back(flap);
-  return cfg;
-}
-
-TurbulenceScenarioConfig long_outage_config() {
-  TurbulenceScenarioConfig cfg = scenario_config();
-  FaultEpisode outage;
-  outage.kind = FaultKind::kOutage;
-  outage.start = SimTime::from_seconds(30.0);
-  outage.duration = Duration::seconds(30);  // far past the 8 s window
-  outage.label = "long-outage";
-  cfg.episodes.push_back(outage);
-  return cfg;
-}
 
 const ClipSet& study_set() { return table1_catalog()[0]; }
 
@@ -70,7 +41,7 @@ void expect_identical(const SessionRecoveryMetrics& a, const SessionRecoveryMetr
 
 TEST(FaultRecovery, ShortOutageSurvivedWithZeroAbandonedSessions) {
   const auto run =
-      run_turbulence_pair(study_set(), RateTier::kLow, short_outage_config());
+      run_turbulence_pair(study_set(), RateTier::kLow, lab_scenario("short-outage"));
 
   ASSERT_TRUE(run.real.has_value());
   ASSERT_TRUE(run.media.has_value());
@@ -95,7 +66,7 @@ TEST(FaultRecovery, LongOutageTerminatedByWatchdogNotHang) {
   // This test completing at all is the no-hung-event-loop assertion: the
   // runner's final loop.run() only returns once every timer has drained.
   const auto run =
-      run_turbulence_pair(study_set(), RateTier::kLow, long_outage_config());
+      run_turbulence_pair(study_set(), RateTier::kLow, lab_scenario("long-outage"));
 
   ASSERT_TRUE(run.real.has_value());
   ASSERT_TRUE(run.media.has_value());
@@ -112,9 +83,9 @@ TEST(FaultRecovery, LongOutageTerminatedByWatchdogNotHang) {
 
 TEST(FaultRecovery, DeterministicAcrossRunsWithSameSeed) {
   const auto short_a =
-      run_turbulence_pair(study_set(), RateTier::kLow, short_outage_config());
+      run_turbulence_pair(study_set(), RateTier::kLow, lab_scenario("short-outage"));
   const auto short_b =
-      run_turbulence_pair(study_set(), RateTier::kLow, short_outage_config());
+      run_turbulence_pair(study_set(), RateTier::kLow, lab_scenario("short-outage"));
   ASSERT_TRUE(short_a.real && short_b.real && short_a.media && short_b.media);
   expect_identical(*short_a.real, *short_b.real);
   expect_identical(*short_a.media, *short_b.media);
@@ -123,9 +94,9 @@ TEST(FaultRecovery, DeterministicAcrossRunsWithSameSeed) {
     EXPECT_EQ(short_a.episodes[i].packets_dropped, short_b.episodes[i].packets_dropped);
 
   const auto long_a =
-      run_turbulence_pair(study_set(), RateTier::kLow, long_outage_config());
+      run_turbulence_pair(study_set(), RateTier::kLow, lab_scenario("long-outage"));
   const auto long_b =
-      run_turbulence_pair(study_set(), RateTier::kLow, long_outage_config());
+      run_turbulence_pair(study_set(), RateTier::kLow, lab_scenario("long-outage"));
   ASSERT_TRUE(long_a.real && long_b.real && long_a.media && long_b.media);
   expect_identical(*long_a.real, *long_b.real);
   expect_identical(*long_a.media, *long_b.media);
@@ -134,7 +105,7 @@ TEST(FaultRecovery, DeterministicAcrossRunsWithSameSeed) {
 TEST(FaultRecovery, CsvExportCarriesScenarioRows) {
   std::vector<std::pair<std::string, TurbulenceRunResult>> runs;
   runs.emplace_back("short-outage", run_turbulence_pair(study_set(), RateTier::kLow,
-                                                        short_outage_config()));
+                                                        lab_scenario("short-outage")));
   const std::string csv = turbulence_csv(runs);
   EXPECT_NE(csv.find("scenario,clip_id,player"), std::string::npos);
   EXPECT_NE(csv.find("short-outage"), std::string::npos);

@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "core/campaign.hpp"
+#include "core/scenarios.hpp"
 #include "core/turbulence.hpp"
 #include "media/catalog.hpp"
 #include "sim/audit.hpp"
@@ -28,22 +29,8 @@ const ClipSet& study_set() { return table1_catalog()[0]; }
 ClipInfo real_clip() { return study_set().pair(RateTier::kLow)->first; }
 ClipInfo media_clip() { return study_set().pair(RateTier::kLow)->second; }
 
-FaultEpisode router_down(int router_index, double start_s, double duration_s) {
-  FaultEpisode down;
-  down.kind = FaultKind::kRouterDown;
-  down.router_index = router_index;
-  down.start = SimTime::from_seconds(start_s);
-  down.duration = Duration::from_seconds(duration_s);
-  down.label = "router-down";
-  return down;
-}
-
 TurbulenceScenarioConfig base_config() {
-  TurbulenceScenarioConfig cfg;
-  cfg.path.hop_count = 8;
-  cfg.path.one_way_propagation = Duration::millis(20);
-  cfg.seed = 42;
-  cfg.recovery.inactivity_timeout = Duration::seconds(8);
+  TurbulenceScenarioConfig cfg = lab_base_config();
   // Both subjects get the same NACK repair plane. The striped session can
   // actually use it during a flap (requests and retransmits ride the
   // surviving subflow); the single-path baseline cannot — its only route is
@@ -56,8 +43,9 @@ TurbulenceScenarioConfig base_config() {
 /// 10 s each — longer than the 8 s inactivity watchdog, so a single-path
 /// client that cannot route around it must fail over every time.
 void add_flap_schedule(TurbulenceScenarioConfig& cfg) {
-  cfg.episodes.push_back(router_down(3, 25.0, 10.0));
-  cfg.episodes.push_back(router_down(3, 45.0, 10.0));
+  for (const double start : {25.0, 45.0})
+    cfg.episodes.push_back(
+        FaultEpisode::router_down(SimTime::from_seconds(start), Duration::seconds(10), 3));
 }
 
 /// Striped subject: detour bridges [3,4], the repair plane heals the primary

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/export.hpp"
+#include "core/scenarios.hpp"
 #include "core/turbulence.hpp"
 
 namespace streamlab {
@@ -24,18 +25,10 @@ const ClipSet& study_set() { return table1_catalog()[0]; }
 /// whole session after startup so the steady-state loss rate (not a
 /// clip-length-diluted average) is what the repair layer has to beat.
 TurbulenceScenarioConfig burst_loss_config() {
-  TurbulenceScenarioConfig cfg;
-  cfg.path.hop_count = 8;
-  cfg.path.one_way_propagation = Duration::millis(20);
-  cfg.seed = 42;
-  cfg.recovery.inactivity_timeout = Duration::seconds(8);
-  FaultEpisode burst;
-  burst.kind = FaultKind::kBurstLoss;
-  burst.start = SimTime::from_seconds(10.0);
-  burst.duration = Duration::seconds(600);
-  burst.gilbert = GilbertElliottConfig{0.05, 0.25, 0.0, 0.6};
-  burst.label = "burst-loss";
-  cfg.episodes.push_back(burst);
+  TurbulenceScenarioConfig cfg = lab_base_config();
+  cfg.episodes.push_back(FaultEpisode::burst_loss(SimTime::from_seconds(10.0),
+                                                  Duration::seconds(600),
+                                                  GilbertElliottConfig{0.05, 0.25, 0.0, 0.6}));
   return cfg;
 }
 
@@ -137,22 +130,13 @@ TEST(RepairRecovery, RepairedRunReplaysDeterministically) {
 }
 
 TEST(RepairRecovery, RepairSurvivesRouterDownChaos) {
-  // The PR 5 chaos scenario with the repair layer on top: router 3 dies for
-  // 10 s on a path with a detour. Repair must not destabilise the
-  // self-healing machinery, and the metrics must stay consistent.
+  // The lab's chaos reroute with the repair layer on top and no mirror:
+  // router 3 dies for 10 s on a path with a detour. Repair must not
+  // destabilise the self-healing machinery, and the metrics must stay
+  // consistent.
   const auto pair = *study_set().pair(RateTier::kLow);
-  TurbulenceScenarioConfig cfg = burst_loss_config();
-  cfg.episodes.clear();
-  cfg.path.detour = DetourConfig{3, 4, 2, 10};
-  cfg.repair = RouteRepairConfig{};
-  FaultEpisode down;
-  down.kind = FaultKind::kRouterDown;
-  down.router_index = 3;
-  down.start = SimTime::from_seconds(30.0);
-  down.duration = Duration::seconds(10);
-  down.label = "router-down";
-  cfg.episodes.push_back(down);
-  cfg.repair_layer = fec_nack_repair();
+  TurbulenceScenarioConfig cfg = lab_scenario("router-down-reroute", fec_nack_repair());
+  cfg.mirror_server = false;
 
   const auto run = run_turbulence_clip(pair.second, cfg);
   ASSERT_TRUE(run.media.has_value());

@@ -4,12 +4,14 @@
 // rebuffer, no abort); the same failure without a detour triggers an
 // ICMP/watchdog-driven failover to a mirror server that resumes at the
 // current media position — and both stories replay bit-identically, with
-// zero invariant violations.
+// zero invariant violations. Both are turbulence_lab's chaos scenarios
+// (core/scenarios.hpp).
 #include <gtest/gtest.h>
 
 #include <utility>
 
 #include "core/campaign.hpp"
+#include "core/scenarios.hpp"
 #include "core/turbulence.hpp"
 #include "media/catalog.hpp"
 #include "sim/audit.hpp"
@@ -27,52 +29,9 @@ ClipInfo real_clip() { return study_set().pair(RateTier::kLow)->first; }
 /// an outage, the interesting subject for stall attribution.
 ClipInfo media_clip() { return study_set().pair(RateTier::kLow)->second; }
 
-TurbulenceScenarioConfig base_config() {
-  TurbulenceScenarioConfig cfg;
-  cfg.path.hop_count = 8;
-  cfg.path.one_way_propagation = Duration::millis(20);
-  cfg.seed = 42;
-  cfg.recovery.inactivity_timeout = Duration::seconds(8);
-  return cfg;
-}
-
-FaultEpisode router_down(int router_index, double start_s, double duration_s) {
-  FaultEpisode down;
-  down.kind = FaultKind::kRouterDown;
-  down.router_index = router_index;
-  down.start = SimTime::from_seconds(start_s);
-  down.duration = Duration::seconds(static_cast<std::int64_t>(duration_s));
-  down.label = "router-down";
-  return down;
-}
-
-/// Router 3 dies mid-stream; a detour bridges span [3,4] and the repair
-/// plane reroutes onto it.
-TurbulenceScenarioConfig reroute_config() {
-  TurbulenceScenarioConfig cfg = base_config();
-  cfg.path.detour = DetourConfig{3, 4, 2, 10};
-  cfg.repair = RouteRepairConfig{};
-  cfg.mirror_server = true;  // dormant backstop; the detour should win
-  cfg.episodes.push_back(router_down(3, 30.0, 10.0));
-  return cfg;
-}
-
-/// The same failure with no detour: the withdraw turns the black hole into
-/// Destination Unreachable and the client fails over to the mirror.
-TurbulenceScenarioConfig failover_config() {
-  TurbulenceScenarioConfig cfg = base_config();
-  cfg.repair = RouteRepairConfig{};
-  cfg.repair_span_first = 3;
-  cfg.repair_span_last = 4;
-  cfg.mirror_server = true;
-  cfg.recovery.max_play_attempts = 8;
-  cfg.episodes.push_back(router_down(3, 30.0, 20.0));
-  return cfg;
-}
-
 TEST(SelfHealing, RouterDownWithDetourReroutesAndCompletes) {
   audit::Auditor auditor;
-  TurbulenceScenarioConfig cfg = reroute_config();
+  TurbulenceScenarioConfig cfg = lab_scenario("router-down-reroute");
   cfg.auditor = &auditor;
   const auto run = run_turbulence_clip(real_clip(), cfg);
 
@@ -99,7 +58,7 @@ TEST(SelfHealing, RouterDownWithDetourReroutesAndCompletes) {
 
   // Contrast: the identical failure with the healing layer stripped out
   // kills the stream — the detour/repair pair is load-bearing.
-  TurbulenceScenarioConfig broken = reroute_config();
+  TurbulenceScenarioConfig broken = lab_scenario("router-down-reroute");
   broken.path.detour.reset();
   broken.repair.reset();
   broken.mirror_server = false;
@@ -111,7 +70,7 @@ TEST(SelfHealing, RouterDownWithDetourReroutesAndCompletes) {
 
 TEST(SelfHealing, RouterDownWithoutDetourFailsOverToMirror) {
   audit::Auditor auditor;
-  TurbulenceScenarioConfig cfg = failover_config();
+  TurbulenceScenarioConfig cfg = lab_scenario("router-down-failover");
   cfg.auditor = &auditor;
   const auto run = run_turbulence_clip(media_clip(), cfg);
 
@@ -134,11 +93,10 @@ TEST(SelfHealing, RouterDownWithoutDetourFailsOverToMirror) {
 }
 
 TEST(SelfHealing, BothChaosScenariosReplayIdentically) {
-  using ConfigFn = TurbulenceScenarioConfig (*)();
-  for (ConfigFn make : {ConfigFn{&reroute_config}, ConfigFn{&failover_config}}) {
-    auto run_once = [make] {
+  for (const char* name : {"router-down-reroute", "router-down-failover"}) {
+    auto run_once = [name] {
       audit::DeterminismProbe probe;
-      TurbulenceScenarioConfig cfg = make();
+      TurbulenceScenarioConfig cfg = lab_scenario(name);
       cfg.probe = &probe;
       const auto run = run_turbulence_clip(media_clip(), cfg);
       return std::make_pair(probe.digest(), run);
@@ -161,11 +119,11 @@ TEST(SelfHealing, CampaignDigestSeparatesChaosFromBaseline) {
   // by a baseline campaign (and vice versa): the new topology/repair/mirror
   // fields all feed the config digest.
   CampaignConfig baseline;
-  baseline.scenario = base_config();
+  baseline.scenario = lab_base_config();
   CampaignConfig chaos = baseline;
-  chaos.scenario = reroute_config();
+  chaos.scenario = lab_scenario("router-down-reroute");
   CampaignConfig chaos_failover = baseline;
-  chaos_failover.scenario = failover_config();
+  chaos_failover.scenario = lab_scenario("router-down-failover");
 
   const auto d0 = campaign_config_digest(baseline);
   const auto d1 = campaign_config_digest(chaos);

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/scenarios.hpp"
 #include "core/turbulence.hpp"
 #include "json_check.hpp"
 #include "obs/export.hpp"
@@ -17,22 +18,6 @@
 
 namespace streamlab {
 namespace {
-
-TurbulenceScenarioConfig short_outage_config(obs::Obs* obs) {
-  TurbulenceScenarioConfig cfg;
-  cfg.path.hop_count = 8;
-  cfg.path.one_way_propagation = Duration::millis(20);
-  cfg.seed = 42;
-  cfg.recovery.inactivity_timeout = Duration::seconds(8);
-  cfg.obs = obs;
-  FaultEpisode flap;
-  flap.kind = FaultKind::kOutage;
-  flap.start = SimTime::from_seconds(30.0);
-  flap.duration = Duration::seconds(4);
-  flap.label = "short-flap";
-  cfg.episodes.push_back(flap);
-  return cfg;
-}
 
 struct ObservedRun {
   obs::Obs obs;
@@ -45,7 +30,9 @@ ObservedRun& observed_run() {
     const ClipSet& set = table1_catalog()[0];
     const auto pair = set.pair(RateTier::kLow);
     // The media clip with rebuffering on: the 4 s outage forces stalls.
-    run.result = run_turbulence_clip(pair->second, short_outage_config(&run.obs));
+    TurbulenceScenarioConfig cfg = lab_scenario("short-outage");
+    cfg.obs = &run.obs;
+    run.result = run_turbulence_clip(pair->second, cfg);
     return true;
   }();
   (void)init;
@@ -164,7 +151,7 @@ TEST(ObsIntegration, RunIsDeterministicUnderObservation) {
   const ClipSet& set = table1_catalog()[0];
   const auto pair = set.pair(RateTier::kLow);
   const TurbulenceRunResult bare =
-      run_turbulence_clip(pair->second, short_outage_config(nullptr));
+      run_turbulence_clip(pair->second, lab_scenario("short-outage"));
   const auto& observed = observed_run().result;
   ASSERT_TRUE(bare.media.has_value());
   EXPECT_EQ(bare.media->frames_rendered, observed.media->frames_rendered);

@@ -242,7 +242,7 @@ TEST(FaultScheduler, AppliesAndClearsEpisodeOnSchedule) {
   FaultFixture f;
   auto link = f.make(LinkConfig{});
   FaultScheduler faults(f.loop, *link);
-  faults.add_outage(SimTime::from_seconds(1.0), Duration::seconds(2));
+  faults.add(FaultEpisode::outage(SimTime::from_seconds(1.0), Duration::seconds(2)));
   faults.arm();
 
   // Before: passes. During: dropped. After: passes again.
@@ -275,7 +275,7 @@ TEST(FaultScheduler, BurstLossEpisodeUsesGilbertElliott) {
   ge.p_good_to_bad = 1.0;  // always BAD
   ge.p_bad_to_good = 0.0;
   ge.loss_bad = 1.0;       // drop everything while BAD
-  faults.add_burst_loss(SimTime::from_seconds(1.0), Duration::seconds(1), ge);
+  faults.add(FaultEpisode::burst_loss(SimTime::from_seconds(1.0), Duration::seconds(1), ge));
   faults.arm();
 
   auto send_at = [&](double t, std::uint16_t id) {
@@ -299,8 +299,9 @@ TEST(FaultScheduler, LaterEpisodePreemptsEarlierOne) {
   FaultScheduler faults(f.loop, *link);
   // Episode A [1, 5): random loss 100%. Episode B [2, 3): outage. A's end
   // event at t=5 must not clear B or the baseline restored at t=3.
-  faults.add_random_loss(SimTime::from_seconds(1.0), Duration::seconds(4), 1.0, "A");
-  faults.add_outage(SimTime::from_seconds(2.0), Duration::seconds(1), "B");
+  faults.add(
+      FaultEpisode::random_loss(SimTime::from_seconds(1.0), Duration::seconds(4), 1.0, "A"));
+  faults.add(FaultEpisode::outage(SimTime::from_seconds(2.0), Duration::seconds(1), "B"));
   faults.arm();
 
   auto send_at = [&](double t, std::uint16_t id) {
@@ -327,8 +328,8 @@ TEST(FaultScheduler, BandwidthEpisodeNotBlamedForBaselineLoss) {
   cfg.loss_probability = 1.0;  // every packet dies to *baseline* random loss
   auto link = f.make(cfg);
   FaultScheduler faults(f.loop, *link);
-  faults.add_bandwidth(SimTime::from_seconds(1.0), Duration::seconds(2),
-                       BitRate::mbps(1));
+  faults.add(FaultEpisode::bandwidth_dip(SimTime::from_seconds(1.0), Duration::seconds(2),
+                                         BitRate::mbps(1)));
   faults.arm();
 
   f.loop.schedule_at(SimTime::from_seconds(1.5),
@@ -371,7 +372,7 @@ TEST(FaultScheduler, RouterDownAppliesAndClearsOnSchedule) {
   Network net(quiet_chain());
   Host& server = net.add_server("srv");
   FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
-  faults.add_router_down(SimTime::from_seconds(1.0), Duration::seconds(1), 3);
+  faults.add(FaultEpisode::router_down(SimTime::from_seconds(1.0), Duration::seconds(1), 3));
   faults.arm();
 
   int received = 0;
@@ -403,8 +404,8 @@ TEST(FaultScheduler, RouterDownRunsInParallelWithLinkEpisode) {
   Network net(quiet_chain());
   net.add_server("srv");
   FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
-  faults.add_outage(SimTime::from_seconds(1.0), Duration::seconds(2));
-  faults.add_router_down(SimTime::from_seconds(1.5), Duration::seconds(1), 3);
+  faults.add(FaultEpisode::outage(SimTime::from_seconds(1.0), Duration::seconds(2)));
+  faults.add(FaultEpisode::router_down(SimTime::from_seconds(1.5), Duration::seconds(1), 3));
   faults.arm();
 
   bool both_active = false;
@@ -427,8 +428,8 @@ TEST(FaultScheduler, OverlappingRouterDownsNest) {
   Network net(quiet_chain());
   net.add_server("srv");
   FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
-  faults.add_router_down(SimTime::from_seconds(1.0), Duration::seconds(2), 3);
-  faults.add_router_down(SimTime::from_seconds(2.0), Duration::seconds(2), 3);
+  faults.add(FaultEpisode::router_down(SimTime::from_seconds(1.0), Duration::seconds(2), 3));
+  faults.add(FaultEpisode::router_down(SimTime::from_seconds(2.0), Duration::seconds(2), 3));
   faults.arm();
 
   bool offline_between_ends = false, online_after_both = true;
@@ -448,7 +449,7 @@ TEST(FaultScheduler, FinishSettlesDanglingRouterDown) {
   Network net(quiet_chain());
   net.add_server("srv");
   FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
-  faults.add_router_down(SimTime::from_seconds(1.0), Duration::seconds(100), 3);
+  faults.add(FaultEpisode::router_down(SimTime::from_seconds(1.0), Duration::seconds(100), 3));
   faults.arm();
   net.loop().run_until(SimTime::from_seconds(2.0));
 
@@ -467,13 +468,13 @@ PathConfig quiet_detour_chain() {
 }
 
 TEST(FaultScheduler, DetourDownTargetsBranchRouterOnly) {
-  // add_detour_down takes a *detour-branch* router offline; the chain
+  // A detour_down episode takes a *detour-branch* router offline; the chain
   // router with the same index is untouched, so primary-addressed traffic
   // keeps flowing while the bypass is dark.
   Network net(quiet_detour_chain());
   Host& server = net.add_server("srv");
   FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
-  faults.add_detour_down(SimTime::from_seconds(1.0), Duration::seconds(1), 0);
+  faults.add(FaultEpisode::detour_down(SimTime::from_seconds(1.0), Duration::seconds(1), 0));
   faults.arm();
 
   int received = 0;
@@ -506,10 +507,12 @@ TEST(FaultScheduler, AlternatingChainAndDetourFlapsStayIndependent) {
   FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
   // Chain router 0 down [1, 4); detour router 0 down [2, 3) and again
   // overlapping [2.5, 5); detour router 1 down [3.5, 4.5).
-  faults.add_router_down(SimTime::from_seconds(1.0), Duration::seconds(3), 0);
-  faults.add_detour_down(SimTime::from_seconds(2.0), Duration::seconds(1), 0);
-  faults.add_detour_down(SimTime::from_seconds(2.5), Duration::from_seconds(2.5), 0);
-  faults.add_detour_down(SimTime::from_seconds(3.5), Duration::from_seconds(1.0), 1);
+  faults.add(FaultEpisode::router_down(SimTime::from_seconds(1.0), Duration::seconds(3), 0));
+  faults.add(FaultEpisode::detour_down(SimTime::from_seconds(2.0), Duration::seconds(1), 0));
+  faults.add(
+      FaultEpisode::detour_down(SimTime::from_seconds(2.5), Duration::from_seconds(2.5), 0));
+  faults.add(
+      FaultEpisode::detour_down(SimTime::from_seconds(3.5), Duration::from_seconds(1.0), 1));
   faults.arm();
 
   struct Snapshot {
@@ -555,8 +558,8 @@ TEST(FaultScheduler, FinishSettlesDanglingDetourEpisodes) {
   Network net(quiet_detour_chain());
   net.add_server("srv");
   FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
-  faults.add_router_down(SimTime::from_seconds(1.0), Duration::seconds(100), 3);
-  faults.add_detour_down(SimTime::from_seconds(1.0), Duration::seconds(100), 1);
+  faults.add(FaultEpisode::router_down(SimTime::from_seconds(1.0), Duration::seconds(100), 3));
+  faults.add(FaultEpisode::detour_down(SimTime::from_seconds(1.0), Duration::seconds(100), 1));
   faults.arm();
   net.loop().run_until(SimTime::from_seconds(2.0));
 
@@ -577,7 +580,7 @@ TEST(FaultScheduler, DetourDownOutOfRangeIsSettledNoop) {
   Network net(quiet_detour_chain());
   net.add_server("srv");
   FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
-  faults.add_detour_down(SimTime::from_seconds(1.0), Duration::seconds(1), 7);
+  faults.add(FaultEpisode::detour_down(SimTime::from_seconds(1.0), Duration::seconds(1), 7));
   faults.arm();
   net.loop().run();
   ASSERT_EQ(faults.records().size(), 1u);
@@ -592,7 +595,7 @@ TEST(FaultScheduler, RouterDownWithoutNetworkIsSettledNoop) {
   FaultFixture f;
   auto link = f.make(LinkConfig{});
   FaultScheduler faults(f.loop, *link);
-  faults.add_router_down(SimTime::from_seconds(1.0), Duration::seconds(1), 3);
+  faults.add(FaultEpisode::router_down(SimTime::from_seconds(1.0), Duration::seconds(1), 3));
   faults.arm();
   f.loop.run();
   ASSERT_EQ(faults.records().size(), 1u);
